@@ -172,14 +172,12 @@ fn main() {
         let metrics = wcoj_benchmark();
         for m in &metrics {
             println!(
-                "{:<38} backtrack {:>9.3} ms  wcoj {:>9.3} ms  dense {:>9.3} ms  \
-                 speedup {:>6.2}x  dense-speedup {:>5.2}x  planner {:<9} agree {}",
+                "{:<38} backtrack {:>9.3} ms  dense {:>9.3} ms  \
+                 speedup {:>6.2}x  planner {:<9} agree {}",
                 m.workload,
                 m.backtrack_ms,
-                m.wcoj_ms,
                 m.dense_ms,
                 m.speedup(),
-                m.dense_speedup(),
                 m.planner,
                 m.answers_agree
             );

@@ -11,9 +11,9 @@
 //!   the kernel node visits of trigger search.
 //! * **E10** (hardness shape): clique enumeration under both join
 //!   strategies, then again after growing the graph — WCOJ seeks and
-//!   galloping steps, kernel backtracking, and sorted-index full builds
-//!   *and* merge-extends (the re-run after growth extends the cached
-//!   permutations incrementally).
+//!   galloping steps, kernel backtracking, dense dictionary hits and
+//!   misses (the re-run after growth extends the cached dictionary and
+//!   tries incrementally), and morsel scheduling.
 //! * **E15** (parallel shootout): pool-parallel chase and ground
 //!   saturation — pool runs/chunks/width, per-worker utilization, bag
 //!   closures and memo hits.
@@ -29,7 +29,7 @@ use crate::workloads::{
 use gtgd_chase::{par_ground_saturation, parse_tgds, ChaseRunner, ChaseVariant};
 use gtgd_data::obs::{self, RunReport};
 use gtgd_data::GroundAtom;
-use gtgd_query::{Engine, Repr, Strategy};
+use gtgd_query::{Engine, Strategy};
 
 /// One experiment's traced run.
 #[derive(Debug, Clone)]
@@ -64,11 +64,9 @@ pub fn trace_e9() -> TracedExperiment {
 }
 
 /// E10 traced: clique enumeration through [`Engine::prepare`] under both
-/// join strategies and both WCOJ key representations (dense dictionary
-/// codes and generic values), plus a morsel-parallel run, then re-run on a
-/// grown graph so both incremental-maintenance paths fire: the sorted-index
-/// cache merge-extends its permutations and the dense store extends its
-/// dictionary/tries.
+/// join strategies, plus a morsel-parallel run, then re-run on a grown
+/// graph so the dense store's incremental path fires: it extends its
+/// dictionary and tries instead of rebuilding them.
 pub fn trace_e10() -> TracedExperiment {
     let mut g = random_graph(13, 0.5, 97);
     plant_clique(&mut g, 5, 13);
@@ -76,24 +74,18 @@ pub fn trace_e10() -> TracedExperiment {
     let q = clique_cq(4);
     let ((), report) = obs::trace_run(|| {
         let dense = Engine::prepare(&q).strategy(Strategy::Wcoj).answers(&db);
-        let generic = Engine::prepare(&q)
-            .strategy(Strategy::Wcoj)
-            .repr(Repr::Generic)
-            .answers(&db);
         let bt = Engine::prepare(&q)
             .strategy(Strategy::Backtrack)
             .answers(&db);
-        assert_eq!(dense, bt, "dense WCOJ must agree with the backtracker");
-        assert_eq!(generic, bt, "generic WCOJ must agree with the backtracker");
+        assert_eq!(dense, bt, "WCOJ must agree with the backtracker");
         // Morsel-driven parallel enumeration (for the scheduler probes).
         let par = Engine::prepare(&q)
             .strategy(Strategy::Wcoj)
             .parallel(2)
             .answers(&db);
         assert_eq!(par, bt, "morsel-parallel WCOJ must agree");
-        // Grow the (index- and trie-cached) instance and enumerate again:
-        // cached permutations are extended by delta-sort + merge and the
-        // dense dictionary/tries extend incrementally, not rebuilt.
+        // Grow the trie-cached instance and enumerate again: the dense
+        // dictionary and tries extend incrementally, not rebuilt.
         let mut grown = db.clone();
         for i in 0..4 {
             let a = format!("x{i}");
@@ -101,15 +93,11 @@ pub fn trace_e10() -> TracedExperiment {
             grown.insert(GroundAtom::named("E", &[a.as_str(), b.as_str()]));
             grown.insert(GroundAtom::named("E", &[b.as_str(), a.as_str()]));
         }
-        let _ = Engine::prepare(&q)
-            .strategy(Strategy::Wcoj)
-            .repr(Repr::Generic)
-            .answers(&grown);
         let _ = Engine::prepare(&q).strategy(Strategy::Wcoj).answers(&grown);
     });
     TracedExperiment {
         id: "E10",
-        title: "clique enumeration (k=4), both strategies and reprs, then on a grown graph".into(),
+        title: "clique enumeration (k=4), both strategies, then on a grown graph".into(),
         report,
     }
 }
@@ -185,19 +173,17 @@ mod tests {
     }
 
     #[test]
-    fn e10_covers_wcoj_and_index_metrics() {
+    fn e10_covers_wcoj_and_dense_metrics() {
         let _g = GATE.lock().unwrap();
         let t = trace_e10();
         let r = &t.report;
         assert!(r.counter(Metric::WcojSeeks) > 0);
         assert!(r.counter(Metric::KernelNodes) > 0);
         assert!(r.counter(Metric::KernelBacktracks) > 0);
-        assert!(r.counter(Metric::IndexFullBuilds) > 0);
-        assert!(
-            r.counter(Metric::IndexMergeExtends) > 0,
-            "re-run on a grown instance must extend cached indexes"
-        );
         assert!(r.counter(Metric::DenseDictMisses) > 0);
+        // The sorted-permutation indexes are gone: their counters stay 0.
+        assert_eq!(r.counter(Metric::IndexFullBuilds), 0);
+        assert_eq!(r.counter(Metric::IndexMergeExtends), 0);
         assert!(r.counter(Metric::DenseDictHits) > 0);
         assert!(
             r.counter(Metric::WcojMorselsExecuted) > 0,
@@ -231,7 +217,6 @@ mod tests {
         }
         assert!(json.contains("\"chase.rounds\""));
         assert!(json.contains("\"wcoj.seeks\""));
-        assert!(json.contains("\"index.merge_extends\""));
         assert!(json.contains("\"dense.dict_hits\""));
         assert!(json.contains("\"wcoj.morsels_executed\""));
     }

@@ -9,25 +9,18 @@
 //! the E10 fixed 13-vertex clique series, the E4 clique→CQS reduction, and
 //! a triangle-count microbench. Each row also records which strategy the
 //! planner would pick on its own (`Strategy::Auto`) and that both
-//! executors returned the same answer count.
+//! executors returned the same answer count. The leapfrog side runs over
+//! dense dictionary codes, its one key representation (`dense_ms`).
 
 use crate::experiments::bench_ms;
 use crate::json::escape;
 use crate::workloads::{clique_cq, graph_db, plant_clique, random_graph};
 use gtgd_core::{clique_to_cqs_instance, grid_cqs_family};
 use gtgd_data::Instance;
-use gtgd_query::{CompiledQuery, Repr, Strategy};
+use gtgd_query::{CompiledQuery, Strategy};
 
 /// Worker widths of the morsel-scaling column.
 const SCALING_WIDTHS: [usize; 4] = [1, 2, 4, 8];
-
-/// The obs-named index-maintenance counters of `db` after a measurement
-/// (`index.cached` / `index.full_builds` / `index.merge_extends`) — the
-/// same names [`gtgd_data::obs::RunReport`] uses, so BENCH JSON and trace
-/// reports read one source.
-fn index_counters(db: &Instance) -> Vec<(&'static str, u64)> {
-    db.index_stats().counters().to_vec()
-}
 
 /// One live before/after measurement for a single workload.
 #[derive(Debug, Clone)]
@@ -36,23 +29,15 @@ pub struct WcojMetric {
     pub workload: String,
     /// Answer-enumeration time in ms under the forced backtracker.
     pub backtrack_ms: f64,
-    /// Same workload, same plan, forced leapfrog executor over the generic
-    /// `Value` representation (the pre-dense executor, for continuity with
-    /// earlier BENCH baselines).
-    pub wcoj_ms: f64,
-    /// Same plan, leapfrog over dense dictionary codes (the default
-    /// representation).
+    /// Same workload, same plan, forced leapfrog executor over dense
+    /// dictionary codes.
     pub dense_ms: f64,
     /// What `Strategy::Auto` picks for this plan (`"wcoj"` / `"backtrack"`).
     pub planner: String,
-    /// Answer count (identical under all executors by assertion).
+    /// Answer count (identical under both executors by assertion).
     pub answers: usize,
-    /// Whether all executors agreed exactly.
+    /// Whether both executors agreed exactly.
     pub answers_agree: bool,
-    /// Index-maintenance counters of the measured instance, under the obs
-    /// metric names (`index.cached`, `index.full_builds`,
-    /// `index.merge_extends`).
-    pub index: Vec<(&'static str, u64)>,
     /// Morsel-parallel dense enumeration per width: `(workers, Some(ms))`
     /// when measured, `(workers, None)` when skipped because the host has
     /// one core (widths > 1 would time-slice a single CPU and report
@@ -74,20 +59,10 @@ pub fn scaling_plan(cores: usize) -> Vec<(usize, bool)> {
 }
 
 impl WcojMetric {
-    /// Speedup factor `backtrack / wcoj` (∞-safe: 0 if `wcoj_ms` is 0).
+    /// Speedup factor `backtrack / dense` (∞-safe: 0 if `dense_ms` is 0).
     pub fn speedup(&self) -> f64 {
-        if self.wcoj_ms > 0.0 {
-            self.backtrack_ms / self.wcoj_ms
-        } else {
-            0.0
-        }
-    }
-
-    /// Speedup of the dense representation over the generic leapfrog
-    /// executor on the same plan (`wcoj / dense`; 0-safe).
-    pub fn dense_speedup(&self) -> f64 {
         if self.dense_ms > 0.0 {
-            self.wcoj_ms / self.dense_ms
+            self.backtrack_ms / self.dense_ms
         } else {
             0.0
         }
@@ -104,16 +79,14 @@ fn planner_label(plan: &CompiledQuery) -> String {
 }
 
 /// Measures full answer enumeration of one compiled plan under both forced
-/// strategies and both WCOJ key representations, plus the morsel-parallel
-/// dense path at each scaling width.
+/// strategies, plus the morsel-parallel leapfrog path at each scaling
+/// width.
 fn measure(workload: String, plan: &CompiledQuery, db: &Instance) -> WcojMetric {
-    let count = |s: Strategy, r: Repr| plan.search(db).strategy(s).repr(r).count();
-    let backtrack_ms = bench_ms(|| count(Strategy::Backtrack, Repr::Auto));
-    let wcoj_ms = bench_ms(|| count(Strategy::Wcoj, Repr::Generic));
-    let dense_ms = bench_ms(|| count(Strategy::Wcoj, Repr::Dense));
-    let n_bt = count(Strategy::Backtrack, Repr::Auto);
-    let n_wc = count(Strategy::Wcoj, Repr::Generic);
-    let n_dn = count(Strategy::Wcoj, Repr::Dense);
+    let count = |s: Strategy| plan.search(db).strategy(s).count();
+    let backtrack_ms = bench_ms(|| count(Strategy::Backtrack));
+    let dense_ms = bench_ms(|| count(Strategy::Wcoj));
+    let n_bt = count(Strategy::Backtrack);
+    let n_dn = count(Strategy::Wcoj);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let scaling = scaling_plan(cores)
         .into_iter()
@@ -131,12 +104,10 @@ fn measure(workload: String, plan: &CompiledQuery, db: &Instance) -> WcojMetric 
     WcojMetric {
         workload,
         backtrack_ms,
-        wcoj_ms,
         dense_ms,
         planner: planner_label(plan),
         answers: n_dn,
-        answers_agree: n_bt == n_wc && n_wc == n_dn,
-        index: index_counters(db),
+        answers_agree: n_bt == n_dn,
         scaling,
     }
 }
@@ -180,18 +151,12 @@ pub fn e4_reduction_metrics() -> Vec<WcojMetric> {
             .iter()
             .map(|cq| CompiledQuery::compile(&cq.atoms))
             .collect();
-        let total = |s: Strategy, r: Repr| -> usize {
-            plans
-                .iter()
-                .map(|p| p.search(db).strategy(s).repr(r).count())
-                .sum()
-        };
-        let backtrack_ms = bench_ms(|| total(Strategy::Backtrack, Repr::Auto));
-        let wcoj_ms = bench_ms(|| total(Strategy::Wcoj, Repr::Generic));
-        let dense_ms = bench_ms(|| total(Strategy::Wcoj, Repr::Dense));
-        let n_bt = total(Strategy::Backtrack, Repr::Auto);
-        let n_wc = total(Strategy::Wcoj, Repr::Generic);
-        let n_dn = total(Strategy::Wcoj, Repr::Dense);
+        let total =
+            |s: Strategy| -> usize { plans.iter().map(|p| p.search(db).strategy(s).count()).sum() };
+        let backtrack_ms = bench_ms(|| total(Strategy::Backtrack));
+        let dense_ms = bench_ms(|| total(Strategy::Wcoj));
+        let n_bt = total(Strategy::Backtrack);
+        let n_dn = total(Strategy::Wcoj);
         let planner = if plans.iter().all(|p| p.prefers_wcoj()) {
             "wcoj".to_string()
         } else if plans.iter().all(|p| !p.prefers_wcoj()) {
@@ -202,12 +167,10 @@ pub fn e4_reduction_metrics() -> Vec<WcojMetric> {
         out.push(WcojMetric {
             workload: format!("E4 grid-CQS over D* (k={k}, 10 vertices)"),
             backtrack_ms,
-            wcoj_ms,
             dense_ms,
             planner,
             answers: n_dn,
-            answers_agree: n_bt == n_wc && n_wc == n_dn,
-            index: index_counters(db),
+            answers_agree: n_bt == n_dn,
             scaling: Vec::new(),
         });
     }
@@ -245,16 +208,23 @@ pub fn wcoj_json(metrics: &[WcojMetric]) -> String {
             "Worst-case-optimal join path: live before/after timings in ms \
              (min over adaptive repeats: >=3, within a ~30 ms budget) \
              for full answer enumeration of cyclic-shape \
-             workloads. 'backtrack' and 'wcoj' force the respective \
-             executor on the same compiled plan ('wcoj' = generic Value \
-             keys, 'dense' = dictionary-coded u32 keys, the default); \
-             'planner' is what Strategy::Auto picks. 'scaling' rows time \
+             workloads. 'backtrack' and 'dense' force the backtracker and \
+             the leapfrog executor (over dictionary-coded u32 keys, its \
+             one representation) on the same compiled plan; 'speedup' is \
+             backtrack / dense; 'planner' is what Strategy::Auto picks; \
+             'host' is the target triple of the measuring machine. \
+             'scaling' rows time \
              the morsel-driven parallel dense path per worker width; on a \
              1-core host (see 'available_parallelism') widths > 1 would \
              time-slice one CPU and report scheduling overhead as a \
              slowdown, so those rows carry 'skipped': 'single-core' \
              instead of a time."
         )
+    ));
+    out.push_str(&format!(
+        "  \"host\": \"{}-{}\",\n",
+        std::env::consts::ARCH,
+        std::env::consts::OS
     ));
     out.push_str(&format!(
         "  \"available_parallelism\": {},\n",
@@ -264,11 +234,6 @@ pub fn wcoj_json(metrics: &[WcojMetric]) -> String {
     let items: Vec<String> = metrics
         .iter()
         .map(|m| {
-            let index: Vec<String> = m
-                .index
-                .iter()
-                .map(|(name, v)| format!("\"{}\": {v}", escape(name)))
-                .collect();
             let scaling: Vec<String> = m
                 .scaling
                 .iter()
@@ -279,21 +244,17 @@ pub fn wcoj_json(metrics: &[WcojMetric]) -> String {
                 .collect();
             format!(
                 "    {{\n      \"workload\": \"{}\",\n      \"backtrack_ms\": {:.3},\n      \
-                 \"wcoj_ms\": {:.3},\n      \"dense_ms\": {:.3},\n      \
-                 \"speedup\": {:.2},\n      \"dense_speedup\": {:.2},\n      \
+                 \"dense_ms\": {:.3},\n      \"speedup\": {:.2},\n      \
                  \"planner\": \"{}\",\n      \
                  \"answers\": {},\n      \"answers_agree\": {},\n      \
-                 \"index\": {{{}}},\n      \"scaling\": [{}]\n    }}",
+                 \"scaling\": [{}]\n    }}",
                 escape(&m.workload),
                 m.backtrack_ms,
-                m.wcoj_ms,
                 m.dense_ms,
                 m.speedup(),
-                m.dense_speedup(),
                 escape(&m.planner),
                 m.answers,
                 m.answers_agree,
-                index.join(", "),
                 scaling.join(", ")
             )
         })
@@ -346,20 +307,15 @@ mod tests {
         let mut m = WcojMetric {
             workload: "x".into(),
             backtrack_ms: 8.0,
-            wcoj_ms: 2.0,
-            dense_ms: 0.5,
+            dense_ms: 2.0,
             planner: "wcoj".into(),
             answers: 1,
             answers_agree: true,
-            index: Vec::new(),
             scaling: Vec::new(),
         };
         assert!((m.speedup() - 4.0).abs() < 1e-9);
-        assert!((m.dense_speedup() - 4.0).abs() < 1e-9);
-        m.wcoj_ms = 0.0;
-        assert_eq!(m.speedup(), 0.0);
         m.dense_ms = 0.0;
-        assert_eq!(m.dense_speedup(), 0.0);
+        assert_eq!(m.speedup(), 0.0);
     }
 
     #[test]
@@ -368,23 +324,19 @@ mod tests {
             WcojMetric {
                 workload: "E10 clique k=5".into(),
                 backtrack_ms: 10.0,
-                wcoj_ms: 1.0,
                 dense_ms: 0.25,
                 planner: "wcoj".into(),
                 answers: 120,
                 answers_agree: true,
-                index: vec![("index.cached", 2), ("index.full_builds", 2)],
                 scaling: vec![(1, Some(0.25)), (2, Some(0.26)), (4, Some(0.27)), (8, None)],
             },
             WcojMetric {
                 workload: "triangle".into(),
                 backtrack_ms: 3.0,
-                wcoj_ms: 1.5,
                 dense_ms: 0.5,
                 planner: "wcoj".into(),
                 answers: 6,
                 answers_agree: true,
-                index: Vec::new(),
                 scaling: Vec::new(),
             },
         ];
@@ -392,15 +344,15 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert_eq!(json.matches("\"workload\"").count(), 2);
-        assert!(json.contains("\"speedup\": 10.00"));
+        assert!(json.contains("\"speedup\": 40.00"));
         assert!(json.contains("\"dense_ms\": 0.250"));
-        assert!(json.contains("\"dense_speedup\": 4.00"));
+        assert!(!json.contains("wcoj_ms"));
         assert!(json.contains("{\"workers\": 4, \"ms\": 0.270}"));
         assert!(json.contains("{\"workers\": 8, \"skipped\": \"single-core\"}"));
         assert!(!json.contains("\"workers\": 8, \"ms\""));
         assert!(json.contains("\"scaling\": []"));
         assert!(json.contains("\"available_parallelism\": "));
+        assert!(json.contains("\"host\": \""));
         assert!(json.contains("\"answers_agree\": true"));
-        assert!(json.contains("\"index.cached\": 2"));
     }
 }

@@ -148,8 +148,9 @@ impl<'a> ChaseRunner<'a> {
     /// Enables derivation-provenance capture: the outcome's
     /// [`firings`](ChaseOutcome::firings) will list every trigger firing
     /// ([`FiringRecord`]) in the engines' canonical firing order —
-    /// deterministic for any worker count, since all engines fire on a
-    /// single merge thread. This is the raw material for answer
+    /// deterministic for any worker count, since all engines fire on the
+    /// calling thread (capture is thread-local, so chases on other threads
+    /// never leak into it). This is the raw material for answer
     /// certificates (see the `cert` module).
     pub fn certify(mut self, on: bool) -> Self {
         self.certify = on;

@@ -2,10 +2,11 @@
 //! codes, per-predicate encoded column arenas, and flat sorted trie
 //! levels for the worst-case-optimal join executor.
 //!
-//! The generic WCOJ path compares [`Value`]s through a sorted-permutation
-//! indirection: every key access is `cols[level][perm[i]]` — two dependent
-//! loads, 16-byte keys. This module recompresses relations so the executor
-//! gallops over plain `&[u32]` slices instead:
+//! This is the one key representation of the WCOJ executor
+//! (`gtgd_query::wcoj`). Comparing [`Value`]s through a row permutation
+//! would cost two dependent loads and a 16-byte compare per key access;
+//! this module recompresses relations so the executor gallops over plain
+//! `&[u32]` slices instead:
 //!
 //! * [`Dict`] — one **global** dictionary per [`crate::Instance`] mapping
 //!   every value that occurs in any encoded relation to a dense `u32`
@@ -89,8 +90,8 @@ impl Dict {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DenseTrie {
     /// Row ids sorted lex by the encoded key tuple, ties by row id —
-    /// exactly the order of [`crate::SortedPermutation`] for the same
-    /// columns (codes are order-preserving).
+    /// exactly the order of the decoded values under the same columns
+    /// (codes are order-preserving).
     perm: Vec<u32>,
     /// `levels[l][i]`: the code at trie level `l` of the `i`-th sorted
     /// row. One flat array per level; `levels.len()` is the arity.
@@ -250,8 +251,7 @@ pub struct DenseExport {
     pub remaps: usize,
 }
 
-/// Trie key: `(predicate, arity, column order)` — same vocabulary as the
-/// sorted-permutation cache.
+/// Trie key: `(predicate, arity, column order)`.
 type TrieKey = (Predicate, u16, Vec<u16>);
 
 /// The mutable core: dictionary, encoded tables, and tries move through
@@ -274,9 +274,8 @@ struct Inner {
 }
 
 /// Lazily built, incrementally maintained dense-encoded storage. Interior
-/// mutability mirrors [`crate::columnar::SortedIndexCache`]: queries
-/// build/extend through `&Instance`, concurrent readers share `Arc`
-/// snapshots.
+/// mutability: queries build/extend through `&Instance`, concurrent
+/// readers share `Arc` snapshots.
 #[derive(Debug, Default)]
 pub struct DenseStore {
     inner: RwLock<Inner>,
@@ -720,8 +719,7 @@ impl DenseStore {
 
     /// Builds or delta-extends the dense trie of `(p, arity, order)` from
     /// the (already current) encoded table. Extension sorts only the new
-    /// row ids and merges — `O(d log d + n)` — mirroring the
-    /// sorted-permutation cache's incremental contract.
+    /// row ids and merges — `O(d log d + n)`, never a full re-sort.
     fn ensure_trie(inner: &mut Inner, p: Predicate, arity: u16, order: &[u16]) {
         let table = &inner.tables[&(p, arity)];
         let rows = table.rows;

@@ -1,7 +1,7 @@
 //! Instances and databases: indexed sets of ground atoms.
 
 use crate::atom::GroundAtom;
-use crate::columnar::{IndexExport, IndexStats, PredColumns, SortedIndexCache, SortedPermutation};
+use crate::columnar::PredColumns;
 use crate::dense::{DenseExport, DenseStats, DenseStore, DenseTrie, Dict};
 use crate::schema::{Predicate, Schema};
 use crate::value::Value;
@@ -28,31 +28,24 @@ pub struct Instance {
     /// candidate lists, domain), built lazily from `atoms` on first
     /// demand. Bulk construction ([`Instance::from_unique_atoms`] — the
     /// snapshot load path) skips them entirely; the first lookup or
-    /// mutation pays one linear build. Interior mutability like `sorted`
-    /// and `dense` below: reads go through `&Instance`.
+    /// mutation pays one linear build. Interior mutability like `dense`
+    /// below: reads go through `&Instance`.
     rows: OnceLock<RowIndexes>,
     /// Columnar mirror of the tuples, per `(predicate, arity)` — the
     /// storage the worst-case-optimal join path scans (see
     /// [`crate::columnar`]). Lazily mirrored from `atoms` on first
     /// demand, like `rows`.
     columns: OnceLock<ColumnMap>,
-    /// Lazily built sorted permutation indexes over `columns`. Interior
-    /// mutability: indexes are built on demand through `&Instance` (query
-    /// execution never holds `&mut`).
-    sorted: SortedIndexCache,
     /// Dense-dictionary encoded mirror of `columns` plus flat sorted trie
-    /// levels — the storage the dense WCOJ path scans (see
-    /// [`crate::dense`]). Built lazily, extended incrementally, interior
-    /// mutability like `sorted`.
+    /// levels — the storage the WCOJ path scans (see [`crate::dense`]).
+    /// Built lazily, extended incrementally. Interior mutability: tries
+    /// are built on demand through `&Instance` (query execution never
+    /// holds `&mut`).
     dense: DenseStore,
 }
 
 /// The columnar arenas keyed by `(predicate, arity)`.
 type ColumnMap = HashMap<(Predicate, u16), PredColumns>;
-
-/// Per-relation old-row → new-row maps accumulated during retraction,
-/// alongside the running count of surviving rows.
-type RowRemapBuild = HashMap<(Predicate, u16), (Vec<Option<u32>>, u32)>;
 
 /// Clones a lazily-built cell, preserving built-ness.
 fn clone_cell<T: Clone>(cell: &OnceLock<T>) -> OnceLock<T> {
@@ -68,7 +61,6 @@ impl Clone for Instance {
             atoms: self.atoms.clone(),
             rows: clone_cell(&self.rows),
             columns: clone_cell(&self.columns),
-            sorted: self.sorted.clone(),
             dense: self.dense.clone(),
         }
     }
@@ -215,9 +207,9 @@ impl Instance {
     /// candidate lists) are reserved once for the whole batch and the
     /// columnar arenas are grown per relation, so a 10⁶-atom ingest pays
     /// amortized map growth instead of a rehash/regrow cadence driven by
-    /// per-atom inserts. The lazy mirrors (sorted permutations, dense
-    /// dictionary/tries) are untouched until the *next demand after* the
-    /// batch — one delta-extend over the whole batch, never one per row.
+    /// per-atom inserts. The lazy dense mirror (dictionary and tries) is
+    /// untouched until the *next demand after* the batch — one
+    /// delta-extend over the whole batch, never one per row.
     /// Ingestion sinks and the CLI bulk loaders feed this; the snapshot
     /// load path goes further and skips index construction entirely via
     /// [`Instance::from_unique_atoms`].
@@ -277,9 +269,7 @@ impl Instance {
     /// over the instance (`O(total cells)`), which keeps row ids dense and
     /// every accessor exact — `dom()` contains precisely the values of
     /// surviving atoms, with no tombstone filtering on any read path. The
-    /// lazy mirrors are cheaper to fix: sorted permutations are
-    /// filter+remapped in place (deletion preserves sort order — see
-    /// [`SortedIndexCache`]), and the dense store drops only the touched
+    /// lazy dense mirror is cheaper to fix: it drops only the touched
     /// `(predicate, arity)` relations while keeping the dictionary.
     pub fn retract_atoms(&mut self, atoms: &[GroundAtom]) -> usize {
         let present = &self.rows().index_of;
@@ -289,8 +279,7 @@ impl Instance {
             return 0;
         }
         let removed = doomed.len();
-        // Relations that lose rows: their dense mirrors must be dropped
-        // and their sorted permutations remapped.
+        // Relations that lose rows: their dense mirrors must be dropped.
         let touched: HashSet<(Predicate, u16)> = doomed
             .iter()
             .map(|a| {
@@ -298,35 +287,17 @@ impl Instance {
                 (a.predicate, arity)
             })
             .collect();
-        // One pass in insertion order: record, per touched relation, where
-        // each old row lands (arena row ids follow insertion order within
-        // a relation), and collect the survivors.
-        let old_atoms = std::mem::take(&mut self.atoms);
-        let mut row_maps: RowRemapBuild = HashMap::new();
-        let mut survivors: Vec<GroundAtom> = Vec::with_capacity(old_atoms.len() - removed);
-        for a in old_atoms {
-            let arity = u16::try_from(a.args.len()).expect("arity fits u16");
-            let key = (a.predicate, arity);
-            let dead = doomed.contains(&a);
-            if touched.contains(&key) {
-                let (map, kept) = row_maps.entry(key).or_default();
-                map.push((!dead).then_some(*kept));
-                *kept += u32::from(!dead);
-            }
-            if !dead {
-                survivors.push(a);
-            }
-        }
-        let row_maps: HashMap<(Predicate, u16), Vec<Option<u32>>> =
-            row_maps.into_iter().map(|(k, (map, _))| (k, map)).collect();
-        // Rebuild the primary stores from the survivors.
+        // Rebuild the primary stores from the survivors, in insertion
+        // order.
+        let survivors: Vec<GroundAtom> = std::mem::take(&mut self.atoms)
+            .into_iter()
+            .filter(|a| !doomed.contains(a))
+            .collect();
         self.rows = OnceLock::new();
         self.columns = OnceLock::new();
         for a in survivors {
             self.insert(a);
         }
-        // Fix the lazy mirrors.
-        self.sorted.retract_remap(&row_maps);
         self.dense.invalidate_relations(&touched);
         removed
     }
@@ -430,28 +401,6 @@ impl Instance {
         self.columns_map().get(&(p, arity))
     }
 
-    /// The sorted permutation index of `p`'s tuples (at `arity`) under the
-    /// given column order: built by a full sort on first demand, extended
-    /// by a sorted-merge of the insert delta on later demands (never a full
-    /// re-sort; see [`crate::columnar::SortedIndexCache`]). Cheap to call
-    /// when already built and current: one read-lock plus an `Arc` clone.
-    pub fn sorted_permutation(
-        &self,
-        p: Predicate,
-        arity: usize,
-        order: &[u16],
-    ) -> Arc<SortedPermutation> {
-        self.sorted
-            .get_or_build(p, arity, order, self.columns(p, arity))
-    }
-
-    /// Build/extend counters of the sorted-index cache (the incremental
-    /// maintenance contract: `full_builds` grows once per distinct index,
-    /// `merge_extends` on every delta extension).
-    pub fn index_stats(&self) -> IndexStats {
-        self.sorted.stats()
-    }
-
     /// A consistent dense-encoded snapshot serving one query: the global
     /// order-preserving dictionary plus, per request
     /// `(predicate, arity, column order)`, the flat sorted trie — `None`
@@ -474,24 +423,6 @@ impl Instance {
     /// chase-invented null — sorts after the existing maximum).
     pub fn dense_stats(&self) -> DenseStats {
         self.dense.stats()
-    }
-
-    /// Exports every cached sorted index in portable form, for snapshot
-    /// persistence (see [`crate::columnar::IndexExport`]).
-    pub fn export_sorted_indexes(&self) -> Vec<IndexExport> {
-        self.sorted.export_entries()
-    }
-
-    /// Re-installs exported sorted indexes, skipping any entry that is
-    /// stale or not actually sorted under this process's value order
-    /// (skipped entries rebuild lazily on first demand). Returns how many
-    /// were installed. Interior mutability: callable through `&self`, like
-    /// every other cache operation.
-    pub fn install_sorted_indexes(&self, entries: &[IndexExport]) -> usize {
-        if entries.is_empty() {
-            return 0;
-        }
-        self.sorted.install_entries(entries, self.columns_map())
     }
 
     /// Exports the dense-encoded store in portable form, for snapshot
@@ -786,52 +717,6 @@ mod tests {
         assert!(i.columns(Predicate::new("T"), 2).is_none());
     }
 
-    /// Reference argsort over the arena (by key tuple, then row id).
-    fn naive_perm(i: &Instance, p: Predicate, arity: usize, order: &[u16]) -> Vec<u32> {
-        let pc = i.columns(p, arity).unwrap();
-        let mut ids: Vec<u32> = (0..pc.rows() as u32).collect();
-        ids.sort_by_key(|&r| {
-            let key: Vec<Value> = order
-                .iter()
-                .map(|&j| pc.col(j as usize)[r as usize])
-                .collect();
-            (key, r)
-        });
-        ids
-    }
-
-    #[test]
-    fn sorted_permutation_is_incremental_across_inserts() {
-        let mut i = Instance::new();
-        i.insert(GroundAtom::named("E", &["c", "x"]));
-        i.insert(GroundAtom::named("E", &["a", "y"]));
-        let e = Predicate::new("E");
-        let first = i.sorted_permutation(e, 2, &[0, 1]);
-        assert_eq!(first.perm(), naive_perm(&i, e, 2, &[0, 1]));
-        assert_eq!(i.index_stats().full_builds, 1);
-        i.insert(GroundAtom::named("E", &["b", "z"]));
-        let second = i.sorted_permutation(e, 2, &[0, 1]);
-        assert_eq!(second.perm(), naive_perm(&i, e, 2, &[0, 1]));
-        let stats = i.index_stats();
-        assert_eq!(stats.full_builds, 1);
-        assert_eq!(stats.merge_extends, 1);
-        assert_eq!(stats.indexes, 1);
-    }
-
-    #[test]
-    fn clones_carry_independent_index_caches() {
-        let mut i = Instance::new();
-        i.insert(GroundAtom::named("E", &["b", "x"]));
-        i.sorted_permutation(Predicate::new("E"), 2, &[0, 1]);
-        let mut j = i.clone();
-        j.insert(GroundAtom::named("E", &["a", "w"]));
-        let sp = j.sorted_permutation(Predicate::new("E"), 2, &[0, 1]);
-        assert_eq!(sp.perm(), naive_perm(&j, Predicate::new("E"), 2, &[0, 1]));
-        // The clone extended its own cache; the original is untouched.
-        assert_eq!(j.index_stats().merge_extends, 1);
-        assert_eq!(i.index_stats().merge_extends, 0);
-    }
-
     #[test]
     fn insert_batch_matches_per_atom_insert() {
         use crate::rng::Rng;
@@ -867,30 +752,6 @@ mod tests {
                 assert_eq!(batched.pred_count(p), serial.pred_count(p));
             }
         }
-    }
-
-    #[test]
-    fn insert_batch_extends_built_indexes_once() {
-        let mut i = Instance::new();
-        i.insert_batch([
-            GroundAtom::named("E", &["c", "x"]),
-            GroundAtom::named("E", &["a", "y"]),
-        ]);
-        let e = Predicate::new("E");
-        i.sorted_permutation(e, 2, &[0, 1]);
-        assert_eq!(i.index_stats().full_builds, 1);
-        // A whole batch lands before the next demand: exactly one
-        // merge-extend, not one per row.
-        i.insert_batch([
-            GroundAtom::named("E", &["b", "z"]),
-            GroundAtom::named("E", &["d", "w"]),
-            GroundAtom::named("E", &["a", "q"]),
-        ]);
-        let sp = i.sorted_permutation(e, 2, &[0, 1]);
-        assert_eq!(sp.perm(), naive_perm(&i, e, 2, &[0, 1]));
-        let stats = i.index_stats();
-        assert_eq!(stats.full_builds, 1);
-        assert_eq!(stats.merge_extends, 1);
     }
 
     #[test]
@@ -962,43 +823,6 @@ mod tests {
         assert!(i.is_empty());
         assert!(i.dom().is_empty());
         assert_eq!(i.retract_atoms(&[GroundAtom::named("P", &["a"])]), 0);
-    }
-
-    #[test]
-    fn sorted_permutation_survives_retraction_without_resort() {
-        let mut i = Instance::new();
-        for (a, b) in [("d", "w"), ("b", "x"), ("c", "y"), ("a", "z")] {
-            i.insert(GroundAtom::named("E", &[a, b]));
-        }
-        let e = Predicate::new("E");
-        i.sorted_permutation(e, 2, &[0, 1]);
-        assert_eq!(i.index_stats().full_builds, 1);
-        i.retract(&GroundAtom::named("E", &["c", "y"]));
-        let sp = i.sorted_permutation(e, 2, &[0, 1]);
-        assert_eq!(sp.perm(), naive_perm(&i, e, 2, &[0, 1]));
-        // The remap was in place: no second full build, no merge.
-        let stats = i.index_stats();
-        assert_eq!(stats.full_builds, 1);
-        assert_eq!(stats.merge_extends, 0);
-        // And later growth still extends incrementally.
-        i.insert(GroundAtom::named("E", &["c", "q"]));
-        let sp2 = i.sorted_permutation(e, 2, &[0, 1]);
-        assert_eq!(sp2.perm(), naive_perm(&i, e, 2, &[0, 1]));
-        assert_eq!(i.index_stats().merge_extends, 1);
-    }
-
-    #[test]
-    fn retracting_a_whole_relation_uncaches_its_index() {
-        let mut i = Instance::new();
-        i.insert(GroundAtom::named("E", &["a", "b"]));
-        i.insert(GroundAtom::named("P", &["c"]));
-        let e = Predicate::new("E");
-        i.sorted_permutation(e, 2, &[0, 1]);
-        i.retract(&GroundAtom::named("E", &["a", "b"]));
-        // The only E-row is gone: its index is dropped, not left empty.
-        assert_eq!(i.index_stats().indexes, 0);
-        let sp = i.sorted_permutation(e, 2, &[0, 1]);
-        assert!(sp.is_empty());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Every engine in the workspace (chase rounds and trigger firings,
 //! saturator bag closures, the kernel backtracker, the worst-case-optimal
-//! executor, the sorted-index cache, the worker pool) carries *probes* —
+//! executor, the dense store, the worker pool) carries *probes* —
 //! calls into this module at its interesting events. Probes are **off by
 //! default**: each one compiles to a single branch on one process-global
 //! `AtomicBool` ([`enabled`]), so an untraced run pays one relaxed load
@@ -83,9 +83,13 @@ pub enum Metric {
     WcojSeeks,
     /// Galloping/binary-search steps taken inside cursor seeks.
     WcojGallopSteps,
-    /// Sorted-permutation indexes built by a full sort.
+    /// Retired: counted full builds of the sorted-permutation indexes,
+    /// which are gone (dense tries are the one WCOJ representation).
+    /// Always reads 0; kept only because external benchmark code still
+    /// names it.
     IndexFullBuilds,
-    /// Sorted-permutation indexes extended by a delta sort + merge.
+    /// Retired like [`Metric::IndexFullBuilds`]: counted merge-extends of
+    /// the removed sorted-permutation indexes. Always reads 0.
     IndexMergeExtends,
     /// Parallel pool invocations that actually spawned worker threads.
     PoolRuns,
@@ -229,9 +233,6 @@ pub enum Hist {
     ChaseRoundNs,
     /// Wall time of one saturator bag closure, in nanoseconds.
     BagClosureNs,
-    /// Wall time of one sorted-index build or merge-extend, in
-    /// nanoseconds.
-    IndexBuildNs,
     /// Chunks claimed by one pool worker during one parallel run (the
     /// per-worker utilization shape: a balanced run concentrates mass in
     /// one or two adjacent buckets).
@@ -244,10 +245,9 @@ pub enum Hist {
 
 impl Hist {
     /// All histograms, in report order.
-    pub const ALL: [Hist; 5] = [
+    pub const ALL: [Hist; 4] = [
         Hist::ChaseRoundNs,
         Hist::BagClosureNs,
-        Hist::IndexBuildNs,
         Hist::PoolWorkerChunks,
         Hist::WcojWorkerBusyNs,
     ];
@@ -257,7 +257,6 @@ impl Hist {
         match self {
             Hist::ChaseRoundNs => "chase.round_ns",
             Hist::BagClosureNs => "saturator.closure_ns",
-            Hist::IndexBuildNs => "index.build_ns",
             Hist::PoolWorkerChunks => "pool.worker_chunks",
             Hist::WcojWorkerBusyNs => "wcoj.worker_busy_ns",
         }
@@ -607,14 +606,14 @@ mod tests {
         }
         let ((), r) = trace_run(|| {
             count(Metric::WcojSeeks, 2);
-            observe(Hist::IndexBuildNs, 4096);
+            observe(Hist::ChaseRoundNs, 4096);
             let _s = span("run");
         });
         let json = r.to_json();
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.contains("\"wcoj.seeks\": 2"));
-        assert!(json.contains("\"index.build_ns\""));
+        assert!(json.contains("\"chase.round_ns\""));
         assert!(json.contains("\"name\": \"run\""));
     }
 

@@ -12,20 +12,21 @@
 //! substitution re-derives exactly the chase-added atoms, which is what the
 //! independent certificate checker (`gtgd-check`) does fail-closed.
 //!
-//! The design copies [`crate::obs`] deliberately:
+//! The design:
 //!
 //! * probes are **off by default** — each `record_firing` call compiles to
-//!   one relaxed [`AtomicBool`] load and a branch, so an uncertified run
-//!   pays nothing but that branch;
-//! * state is **process-global** behind a mutex — firings are only recorded
-//!   on the engines' single merge/fire thread (parallel chase workers
-//!   discover triggers but never fire them), so the lock is uncontended and
-//!   the recorded order is the engines' canonical firing order,
-//!   deterministic for any worker count;
-//! * the intended protocol is enable → [`reset`] → run → [`take`] →
-//!   disable, packaged as [`collect_run`]. Two *concurrently* collected
-//!   runs interleave their firings — the same documented trade as the obs
-//!   layer, acceptable for a std-only layer with branch-only disabled cost.
+//!   one thread-local flag read and a branch, so an uncertified run pays
+//!   nothing but that branch;
+//! * state is **thread-local** — the gate and the record buffer belong to
+//!   the calling thread. Every engine fires triggers only on the thread
+//!   that called it (parallel chase workers discover triggers but never
+//!   fire them; the merge and fire loop runs on the caller's thread), so a
+//!   collected run records exactly its own firings, in the engines'
+//!   canonical firing order, deterministic for any worker count — and
+//!   chases running on other threads at the same time can neither leak
+//!   firings into it nor see its gate;
+//! * the protocol is enable → [`reset`] → run → [`take`] → disable,
+//!   packaged as [`collect_run`].
 //!
 //! Variables are identified by their dense `u32` index (the chase crate's
 //! `Var` index); this crate stays below the query/chase layer on purpose so
@@ -33,8 +34,7 @@
 
 use crate::atom::GroundAtom;
 use crate::value::Value;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::cell::{Cell, RefCell};
 
 /// One trigger firing: the `tgd`-th rule fired under `val`, producing
 /// `atoms`.
@@ -52,60 +52,55 @@ pub struct FiringRecord {
     pub atoms: Vec<GroundAtom>,
 }
 
-/// The global provenance gate. Every probe is a branch on this flag.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// This thread's provenance gate. Every probe is a branch on it.
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+    /// Firings this thread recorded since its last [`reset`], in firing
+    /// order.
+    static FIRINGS: RefCell<Vec<FiringRecord>> = const { RefCell::new(Vec::new()) };
+}
 
-/// Firings recorded since the last [`reset`], in firing order.
-static FIRINGS: Mutex<Vec<FiringRecord>> = Mutex::new(Vec::new());
-
-/// Whether firings are currently recorded. One relaxed load; inlined into
-/// the probe site.
+/// Whether this thread currently records firings. One thread-local load;
+/// inlined into the probe site.
 #[inline(always)]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.with(Cell::get)
 }
 
-/// Turns provenance recording on or off. Callers wanting a per-run record
-/// follow enable → [`reset`] → run → [`take`] → disable ([`collect_run`]
-/// is the one-call form).
+/// Turns provenance recording on or off for this thread. Callers wanting a
+/// per-run record follow enable → [`reset`] → run → [`take`] → disable
+/// ([`collect_run`] is the one-call form).
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
+    ENABLED.with(|g| g.set(on));
 }
 
-/// Clears the recorded firing list. Does not touch the gate.
+/// Clears this thread's recorded firing list. Does not touch the gate.
 pub fn reset() {
-    FIRINGS.lock().expect("provenance list").clear();
+    FIRINGS.with(|f| f.borrow_mut().clear());
 }
 
-/// Appends a firing record if the gate is on. The disabled path is one
-/// relaxed load and a branch; callers on hot paths should pre-check
-/// [`enabled`] before materializing the record's vectors.
+/// Appends a firing record to this thread's list if its gate is on. The
+/// disabled path is one thread-local load and a branch; callers on hot
+/// paths should pre-check [`enabled`] before materializing the record's
+/// vectors.
 #[inline]
 pub fn record_firing(record: FiringRecord) {
     if enabled() {
-        FIRINGS.lock().expect("provenance list").push(record);
+        FIRINGS.with(|f| f.borrow_mut().push(record));
     }
 }
 
-/// Takes the recorded firings, leaving the list empty (regardless of the
-/// gate).
+/// Takes this thread's recorded firings, leaving its list empty
+/// (regardless of the gate).
 pub fn take() -> Vec<FiringRecord> {
-    std::mem::take(&mut *FIRINGS.lock().expect("provenance list"))
+    FIRINGS.with(|f| std::mem::take(&mut *f.borrow_mut()))
 }
 
-/// Serializes concurrent [`collect_run`] calls: the recording state is
-/// process-global, so two collected runs on different threads would
-/// otherwise mix their firings (think parallel test binaries).
-static COLLECT: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with provenance recording enabled against a clean slate and
-/// returns its result together with the firings it recorded; the gate is
-/// switched off again afterwards. Concurrent `collect_run` calls
-/// serialize on a process-wide lock, so each gets exactly its own
-/// firings. (Raw `set_enabled`/`take` callers bypass that lock — the
-/// documented obs-style trade.)
+/// Runs `f` on this thread with provenance recording enabled against a
+/// clean slate and returns its result together with the firings it
+/// recorded; the gate is switched off again afterwards. Runs collected
+/// concurrently on other threads are independent.
 pub fn collect_run<T>(f: impl FnOnce() -> T) -> (T, Vec<FiringRecord>) {
-    let _serial = COLLECT.lock().unwrap_or_else(|e| e.into_inner());
     set_enabled(true);
     reset();
     let out = f();
@@ -118,10 +113,6 @@ pub fn collect_run<T>(f: impl FnOnce() -> T) -> (T, Vec<FiringRecord>) {
 mod tests {
     use super::*;
 
-    // Provenance state is process-global and rust test binaries run tests
-    // concurrently, so every test here serializes on one lock.
-    static GATE: Mutex<()> = Mutex::new(());
-
     fn rec(tgd: usize) -> FiringRecord {
         FiringRecord {
             tgd,
@@ -132,7 +123,6 @@ mod tests {
 
     #[test]
     fn disabled_gate_records_nothing() {
-        let _g = GATE.lock().unwrap();
         set_enabled(false);
         reset();
         record_firing(rec(0));
@@ -141,7 +131,6 @@ mod tests {
 
     #[test]
     fn collect_run_captures_in_order_and_disarms() {
-        let _g = GATE.lock().unwrap();
         let ((), firings) = collect_run(|| {
             record_firing(rec(2));
             record_firing(rec(0));
@@ -155,12 +144,30 @@ mod tests {
 
     #[test]
     fn reset_clears_pending_records() {
-        let _g = GATE.lock().unwrap();
         set_enabled(true);
         record_firing(rec(1));
         reset();
         let left = take();
         set_enabled(false);
         assert!(left.is_empty());
+    }
+
+    #[test]
+    fn other_threads_neither_leak_into_nor_see_a_collected_run() {
+        let ((), firings) = collect_run(|| {
+            record_firing(rec(1));
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    assert!(!enabled(), "the gate is per thread");
+                    set_enabled(true);
+                    record_firing(rec(9));
+                    assert_eq!(take().len(), 1);
+                    set_enabled(false);
+                });
+            });
+            record_firing(rec(2));
+        });
+        let tgds: Vec<usize> = firings.iter().map(|f| f.tgd).collect();
+        assert_eq!(tgds, [1, 2]);
     }
 }

@@ -25,7 +25,7 @@
 //! body once and re-probes it every round from many worker threads.
 
 use crate::cq::{QAtom, Term, Var};
-use crate::wcoj::{self, DenseRun, DenseSnapshot, GenericRun, SplitProbe, WcojPlan};
+use crate::wcoj::{self, DenseSnapshot, SplitProbe, WcojPlan, WcojRun};
 use gtgd_data::{obs, Instance, Pool, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::ControlFlow;
@@ -61,25 +61,6 @@ pub enum Strategy {
     /// Force the variable-at-a-time leapfrog triejoin (worst-case optimal
     /// for the planner's variable order).
     Wcoj,
-}
-
-/// Which key representation the worst-case-optimal path runs over. Purely
-/// a runtime gate — both representations are always compiled in, produce
-/// identical rows in identical order, and share the instance unchanged
-/// (the dense side lazily maintains its dictionary/trie caches inside the
-/// instance).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Repr {
-    /// Pick the dense representation (the faster path; generic remains as
-    /// the always-available fallback and differential oracle). The
-    /// default.
-    #[default]
-    Auto,
-    /// Force dense `u32` dictionary codes over flat trie levels.
-    Dense,
-    /// Force generic `Value` keys through the sorted-permutation
-    /// indirection.
-    Generic,
 }
 
 /// A query compiled for repeated homomorphism search: variables interned to
@@ -234,7 +215,6 @@ impl CompiledQuery {
             allowed: None,
             skip: None,
             strategy: Strategy::Auto,
-            repr: Repr::Auto,
         }
     }
 }
@@ -325,7 +305,6 @@ pub struct KernelSearch<'a> {
     allowed: Option<&'a HashSet<Value>>,
     skip: Option<usize>,
     strategy: Strategy,
-    repr: Repr,
 }
 
 /// Mutable search state, reused across the whole enumeration: the flat
@@ -381,15 +360,6 @@ impl<'a> KernelSearch<'a> {
         self
     }
 
-    /// Overrides the worst-case-optimal path's key representation (the
-    /// default, [`Repr::Auto`], runs dense). A no-op for the backtracker.
-    /// The dense differential suite forces both sides; ordinary consumers
-    /// never call this.
-    pub fn repr(mut self, r: Repr) -> Self {
-        self.repr = r;
-        self
-    }
-
     /// Whether this search runs the worst-case-optimal path.
     pub fn uses_wcoj(&self) -> bool {
         match self.strategy {
@@ -397,11 +367,6 @@ impl<'a> KernelSearch<'a> {
             Strategy::Backtrack => false,
             Strategy::Wcoj => true,
         }
-    }
-
-    /// Whether the worst-case-optimal path runs over dense codes.
-    fn uses_dense(&self) -> bool {
-        !matches!(self.repr, Repr::Generic)
     }
 
     /// Validates the fixed bindings against the modes; `None` if they are
@@ -609,34 +574,19 @@ impl<'a> KernelSearch<'a> {
         let Some((val, used)) = self.init_val() else {
             return false;
         };
-        if self.uses_dense() {
-            let snap = DenseSnapshot::take(&self.plan.wcoj, self.target, self.skip);
-            let Some(mut run) = DenseRun::new_dense(
-                &snap,
-                &self.plan.wcoj,
-                val,
-                used,
-                self.injective,
-                self.allowed,
-                self.skip,
-            ) else {
-                return false;
-            };
-            run.run(f).is_break()
-        } else {
-            let Some(mut run) = GenericRun::new_generic(
-                &self.plan.wcoj,
-                self.target,
-                val,
-                used,
-                self.injective,
-                self.allowed,
-                self.skip,
-            ) else {
-                return false;
-            };
-            run.run(f).is_break()
-        }
+        let snap = DenseSnapshot::take(&self.plan.wcoj, self.target, self.skip);
+        let Some(mut run) = WcojRun::new(
+            &snap,
+            &self.plan.wcoj,
+            val,
+            used,
+            self.injective,
+            self.allowed,
+            self.skip,
+        ) else {
+            return false;
+        };
+        run.run(f).is_break()
     }
 
     /// Whether any homomorphism exists (no materialization at all).
@@ -714,7 +664,6 @@ impl<'a> KernelSearch<'a> {
                     allowed: self.allowed,
                     skip: Some(split),
                     strategy: Strategy::Backtrack,
-                    repr: self.repr,
                 };
                 sub.fixed.extend(seed);
                 sub.for_each_row(|row| {
@@ -742,7 +691,6 @@ impl<'a> KernelSearch<'a> {
             allowed: self.allowed,
             skip: self.skip,
             strategy: Strategy::Wcoj,
-            repr: self.repr,
         };
         probe.fixed.extend_from_slice(seeds);
         // A seed conflicting with the modes kills the whole subtree —
@@ -750,33 +698,18 @@ impl<'a> KernelSearch<'a> {
         let Some((val, used)) = probe.init_val() else {
             return SplitProbe::Dead;
         };
-        if probe.uses_dense() {
-            let snap = DenseSnapshot::take(&probe.plan.wcoj, probe.target, probe.skip);
-            match DenseRun::new_dense(
-                &snap,
-                &probe.plan.wcoj,
-                val,
-                used,
-                probe.injective,
-                probe.allowed,
-                probe.skip,
-            ) {
-                None => SplitProbe::Dead,
-                Some(mut run) => run.split_probe(),
-            }
-        } else {
-            match GenericRun::new_generic(
-                &probe.plan.wcoj,
-                probe.target,
-                val,
-                used,
-                probe.injective,
-                probe.allowed,
-                probe.skip,
-            ) {
-                None => SplitProbe::Dead,
-                Some(mut run) => run.split_probe(),
-            }
+        let snap = DenseSnapshot::take(&probe.plan.wcoj, probe.target, probe.skip);
+        match WcojRun::new(
+            &snap,
+            &probe.plan.wcoj,
+            val,
+            used,
+            probe.injective,
+            probe.allowed,
+            probe.skip,
+        ) {
+            None => SplitProbe::Dead,
+            Some(mut run) => run.split_probe(),
         }
     }
 
@@ -797,7 +730,7 @@ impl<'a> KernelSearch<'a> {
     /// are exactly depth-first order, and distinct prefixes yield disjoint
     /// row sets, so concatenating shard tables in sorted-path order
     /// reproduces the sequential enumeration order *exactly* — for any
-    /// worker count and either key representation.
+    /// worker count.
     fn wcoj_par_table(&self, workers: usize) -> ValuationTable {
         let empty = || ValuationTable::new(self.plan.vars.clone());
         if workers <= 1 || self.skip.is_some() || self.plan.wcoj.order.is_empty() {
@@ -861,7 +794,6 @@ impl<'a> KernelSearch<'a> {
                 allowed: self.allowed,
                 skip: self.skip,
                 strategy: Strategy::Wcoj,
-                repr: self.repr,
             };
             sub.fixed.extend_from_slice(&m.seeds);
             sub.for_each_row(|row| {

@@ -1,5 +1,5 @@
-//! Worst-case-optimal join execution: leapfrog triejoin over the columnar
-//! sorted-trie indexes of `gtgd-data`.
+//! Worst-case-optimal join execution: leapfrog triejoin over the dense
+//! tries of `gtgd-data`.
 //!
 //! The backtracking kernel ([`crate::compile::KernelSearch`]) matches one
 //! *atom* at a time; on cyclic bodies (triangles, cliques — the paper's
@@ -10,19 +10,12 @@
 //! enumerates exactly the values present in *all* of them. The total work
 //! is within the worst-case-optimal bound for the chosen variable order.
 //!
-//! The executor is generic over the **key representation** ([`TrieKeys`] +
-//! [`Codec`]), with two instantiations behind the kernel's runtime gate
-//! ([`crate::compile::Repr`]):
-//!
-//! * **generic** — keys are [`Value`]s read through a
-//!   [`gtgd_data::SortedPermutation`] indirection
-//!   (`cols[level][perm[i]]`): always available, zero preprocessing
-//!   beyond the sorted index.
-//! * **dense** — keys are `u32` codes from the instance's
-//!   order-preserving dictionary ([`gtgd_data::Dict`]), read from the
-//!   flat per-level arrays of a [`gtgd_data::DenseTrie`]: one
-//!   cache-linear load per key, 4-byte comparisons, decode back to
-//!   [`Value`] only at answer materialization (and mode checks).
+//! Keys are `u32` codes from the instance's order-preserving dictionary
+//! ([`gtgd_data::Dict`]), read from the flat CSR levels of a
+//! [`gtgd_data::DenseTrie`]: one cache-linear load per key, 4-byte
+//! comparisons, decode back to [`Value`] only at answer materialization
+//! (and mode checks). Codes compare like the values they encode, so
+//! enumeration order is value order.
 //!
 //! Three pieces live here:
 //!
@@ -33,17 +26,16 @@
 //! * [`prefers_wcoj`] — the gate: slot-level GYO acyclicity test plus a
 //!   high-arity multiway-join trigger. Acyclic low-join queries keep the
 //!   backtracker (it wins on paths and stars with selective constants).
-//! * [`WcojRun`] — the executor: trie cursors with `open`/`seek`/`next`/
-//!   `up`, recursing over the variable order. Semantics (fixed slots,
-//!   injectivity, image restriction, skipped atoms) mirror the
-//!   backtracker exactly; `tests/differential_wcoj.rs` and
-//!   `tests/differential_dense.rs` prove answer-set equality across all
-//!   three paths. [`WcojRun::split_probe`] exposes the next unbound
-//!   intersection to the morsel scheduler
-//!   ([`crate::compile::KernelSearch::par_table`]).
+//! * [`WcojRun`] — the executor: [`CsrCursor`]s with `open`/`seek`/
+//!   `advance`/`up`, recursing over the variable order. Semantics (fixed
+//!   slots, injectivity, image restriction, skipped atoms) mirror the
+//!   backtracker exactly; `tests/differential_wcoj.rs` proves answer-set
+//!   equality against it and order equality across morsel widths.
+//!   [`WcojRun::split_probe`] exposes the next unbound intersection to the
+//!   morsel scheduler ([`crate::compile::KernelSearch::par_table`]).
 
 use crate::compile::{CAtom, CTerm};
-use gtgd_data::{obs, DenseTrie, Dict, Instance, SortedPermutation, Value};
+use gtgd_data::{obs, DenseTrie, Dict, Instance, Value};
 use std::collections::HashSet;
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -59,7 +51,7 @@ pub(crate) enum LevelKey {
     Depth(u32),
 }
 
-/// One atom's trie layout: the column order its sorted index is requested
+/// One atom's trie layout: the column order its trie is requested
 /// in, and what keys each level.
 #[derive(Debug, Clone)]
 pub(crate) struct AtomPlan {
@@ -271,99 +263,8 @@ pub(crate) fn build_plan(atoms: &[CAtom], slot_count: usize) -> WcojPlan {
 }
 
 // ---------------------------------------------------------------------
-// Key representations
+// Dense snapshot and cursors
 // ---------------------------------------------------------------------
-
-/// Sorted trie keys of one atom: `key_at(level, i)` is the key of the
-/// `i`-th row (in trie-sorted order) at trie level `level`. Keys compare
-/// in value order in both representations, which is what keeps leapfrog
-/// intersections valid across atoms.
-pub(crate) trait TrieKeys {
-    /// The key type: [`Value`] (generic) or `u32` codes (dense).
-    type K: Copy + Ord;
-    fn rows(&self) -> usize;
-    fn key_at(&self, level: usize, i: usize) -> Self::K;
-    /// A pointer-identity of the backing sorted source: equal ids mean
-    /// `key_at` reads the same data (same relation, same column order),
-    /// so equal row ranges hold equal keys at every level.
-    fn source_id(&self) -> usize;
-}
-
-/// Encoding between [`Value`]s and a representation's keys, shared by all
-/// atoms of one run (the dense side holds the instance's global
-/// dictionary).
-pub(crate) trait Codec {
-    /// Matches the paired [`TrieKeys::K`].
-    type K: Copy + Ord;
-    /// `None` means the value provably occurs in no scanned relation.
-    fn encode(&self, v: Value) -> Option<Self::K>;
-    fn decode(&self, k: Self::K) -> Value;
-}
-
-/// Generic representation: `Value` keys behind the sorted-permutation
-/// indirection.
-pub(crate) struct GenericKeys<'a> {
-    perm: Arc<SortedPermutation>,
-    /// Per level, the arena column it keys on.
-    cols: Vec<&'a [Value]>,
-}
-
-impl TrieKeys for GenericKeys<'_> {
-    type K = Value;
-
-    fn rows(&self) -> usize {
-        self.perm.len()
-    }
-
-    #[inline]
-    fn key_at(&self, level: usize, i: usize) -> Value {
-        self.cols[level][self.perm.perm()[i] as usize]
-    }
-
-    fn source_id(&self) -> usize {
-        // The permutation cache hands out one `Arc` per `(predicate,
-        // arity, col_order)`, so pointer equality pins both the relation
-        // and the level→column mapping.
-        Arc::as_ptr(&self.perm) as usize
-    }
-}
-
-/// Identity codec for the generic representation.
-pub(crate) struct GenericCodec;
-
-impl Codec for GenericCodec {
-    type K = Value;
-
-    #[inline]
-    fn encode(&self, v: Value) -> Option<Value> {
-        Some(v)
-    }
-
-    #[inline]
-    fn decode(&self, k: Value) -> Value {
-        k
-    }
-}
-
-/// The dense codec: the instance's global order-preserving dictionary,
-/// borrowed from the run's [`DenseSnapshot`].
-pub(crate) struct DenseCodec<'a> {
-    dict: &'a Dict,
-}
-
-impl Codec for DenseCodec<'_> {
-    type K = u32;
-
-    #[inline]
-    fn encode(&self, v: Value) -> Option<u32> {
-        self.dict.code(v)
-    }
-
-    #[inline]
-    fn decode(&self, k: u32) -> Value {
-        self.dict.decode(k)
-    }
-}
 
 /// One query's consistent view of the dense store: the dictionary plus
 /// the trie of every active atom, from a single epoch. Owned by the
@@ -393,301 +294,11 @@ impl DenseSnapshot {
     }
 }
 
-// ---------------------------------------------------------------------
-// Cursors
-// ---------------------------------------------------------------------
-
 /// Below this range width, seeks scan linearly instead of galloping: on
 /// short runs (tight key groups, small relations — the E4 k=2 regime) the
 /// branchy exponential probe loses to a straight-line scan the optimizer
 /// can unroll.
 const LINEAR_SEEK_THRESHOLD: usize = 16;
-
-/// The trie-iterator interface the executor recursion drives. Two
-/// implementations: [`Cursor`] walks the generic sorted-run
-/// representation (row-duplicated keys behind a permutation, key groups
-/// found by bound searches); [`CsrCursor`] walks the dense CSR trie
-/// (distinct keys, O(1) `next`, child ranges by offset lookup).
-pub(crate) trait TrieCursor {
-    /// The key type; matches the paired [`Codec::K`].
-    type K: Copy + Ord;
-    /// Descends into the current key's children (or the root level).
-    fn open(&mut self);
-    /// Ascends one level.
-    fn up(&mut self);
-    /// The current key, or `None` when the level is exhausted.
-    ///
-    /// The position/key accessors fold "at end?" and "which key?" into
-    /// one call on purpose: the leapfrog alignment loop touches every
-    /// participant once per pass, and each separate method call re-reads
-    /// the cursor's top frame.
-    fn current(&self) -> Option<Self::K>;
-    /// Advances to the next distinct key at the current level and
-    /// returns it (`None` when the level runs out).
-    fn advance(&mut self) -> Option<Self::K>;
-    /// Positions at the first key `>= v` (keys only move forward) and
-    /// returns it (`None` when the level runs out).
-    fn seek(&mut self, v: Self::K) -> Option<Self::K>;
-    /// A pointer-identity of the cursor's backing data (0 when there is
-    /// none to share): cursors with equal nonzero ids read the same
-    /// arrays, so equal seek histories leave them on identical frames.
-    fn source_id(&self) -> usize;
-    /// The top frame's movable state (position plus group end where the
-    /// representation has one). Only meaningful for mirroring onto a
-    /// cursor whose token equaled this one's at open: the backing arrays
-    /// are the same, so the state transfers verbatim.
-    fn frame_state(&self) -> (usize, usize);
-    /// Overwrites the top frame's movable state (see
-    /// [`TrieCursor::frame_state`]).
-    fn set_frame_state(&mut self, st: (usize, usize));
-    /// An identity of the open top frame: two cursors with equal tokens
-    /// are positioned on the **same range of the same underlying key
-    /// array** — they will enumerate identical keys here and expose
-    /// identical subtrees below. The recursion uses this to elide
-    /// duplicate leapfrog participants (dense tries of a symmetric
-    /// relation under both column orders alias one `Arc`, so their
-    /// cursors' slices share a pointer). Implementations without a
-    /// shareable source return a cursor-unique token (never equal).
-    fn token(&self) -> (usize, usize, usize, usize);
-    /// The top frame's remaining keys as one contiguous slice, when the
-    /// representation has one (the dense CSR level is exactly that; the
-    /// generic permuted view returns `None`). Powers the leaf-depth
-    /// intersection fast path.
-    fn top_slice(&self) -> Option<&[Self::K]>;
-    /// Drains the locally batched `(seeks, gallop_steps)` probe counts.
-    fn drain_obs(&mut self) -> (u64, u64);
-}
-
-/// One open trie level: the row range matching all ancestor keys (`hi`
-/// bounds it; its start is implicit in `pos` history) and the current key
-/// group `[pos, end)`.
-#[derive(Debug, Clone, Copy)]
-struct Frame {
-    hi: usize,
-    pos: usize,
-    end: usize,
-}
-
-/// A trie iterator over one atom's sorted index. Level `ℓ` keys rows by
-/// column `col_order[ℓ]`; `open` narrows to the parent's current key
-/// group, `seek`/`next` move between key groups by galloping search
-/// (linear below [`LINEAR_SEEK_THRESHOLD`]).
-pub(crate) struct Cursor<T: TrieKeys> {
-    keys: T,
-    rows: usize,
-    stack: Vec<Frame>,
-    /// Locally batched probe counters, flushed to obs once per run (the
-    /// hot loop must not pay an atomic load per seek).
-    seeks: u64,
-    steps: u64,
-}
-
-impl<T: TrieKeys> Cursor<T> {
-    fn new(keys: T, levels: usize) -> Cursor<T> {
-        let rows = keys.rows();
-        Cursor {
-            keys,
-            rows,
-            stack: Vec::with_capacity(levels),
-            seeks: 0,
-            steps: 0,
-        }
-    }
-
-    #[inline]
-    fn key_at(&self, level: usize, i: usize) -> T::K {
-        self.keys.key_at(level, i)
-    }
-
-    /// First index in `[lo, hi)` whose key at `level` is `>= v` (linear on
-    /// short ranges, gallop + binary search beyond; `O(log gap)` for short
-    /// seeks either way).
-    fn lower_bound(&mut self, level: usize, lo: usize, hi: usize, v: T::K) -> usize {
-        if lo >= hi || self.key_at(level, lo) >= v {
-            return lo;
-        }
-        let mut steps = 0u64;
-        if hi - lo <= LINEAR_SEEK_THRESHOLD {
-            let mut i = lo + 1;
-            while i < hi && self.key_at(level, i) < v {
-                i += 1;
-                steps += 1;
-            }
-            self.steps += steps;
-            return i;
-        }
-        // Invariant: key_at(base) < v.
-        let mut base = lo;
-        let mut step = 1usize;
-        while base + step < hi && self.key_at(level, base + step) < v {
-            base += step;
-            step <<= 1;
-            steps += 1;
-        }
-        let mut l = base + 1;
-        let mut h = (base + step).min(hi);
-        while l < h {
-            let mid = l + (h - l) / 2;
-            if self.key_at(level, mid) < v {
-                l = mid + 1;
-            } else {
-                h = mid;
-            }
-            steps += 1;
-        }
-        self.steps += steps;
-        l
-    }
-
-    /// First index in `[lo, hi)` whose key at `level` is `> v`.
-    fn upper_bound(&mut self, level: usize, lo: usize, hi: usize, v: T::K) -> usize {
-        if lo >= hi || self.key_at(level, lo) > v {
-            return lo;
-        }
-        let mut steps = 0u64;
-        if hi - lo <= LINEAR_SEEK_THRESHOLD {
-            let mut i = lo + 1;
-            while i < hi && self.key_at(level, i) <= v {
-                i += 1;
-                steps += 1;
-            }
-            self.steps += steps;
-            return i;
-        }
-        let mut base = lo;
-        let mut step = 1usize;
-        while base + step < hi && self.key_at(level, base + step) <= v {
-            base += step;
-            step <<= 1;
-            steps += 1;
-        }
-        let mut l = base + 1;
-        let mut h = (base + step).min(hi);
-        while l < h {
-            let mid = l + (h - l) / 2;
-            if self.key_at(level, mid) <= v {
-                l = mid + 1;
-            } else {
-                h = mid;
-            }
-            steps += 1;
-        }
-        self.steps += steps;
-        l
-    }
-}
-
-impl<T: TrieKeys> TrieCursor for Cursor<T> {
-    type K = T::K;
-
-    /// Descends into the current key group of the top level (or the whole
-    /// relation at the root), positioned at its first key.
-    fn open(&mut self) {
-        let (lo, hi) = match self.stack.last() {
-            None => (0, self.rows),
-            Some(f) => (f.pos, f.end),
-        };
-        let level = self.stack.len();
-        let end = if lo < hi {
-            let k = self.key_at(level, lo);
-            self.upper_bound(level, lo + 1, hi, k)
-        } else {
-            lo
-        };
-        self.stack.push(Frame { hi, pos: lo, end });
-    }
-
-    fn up(&mut self) {
-        self.stack.pop();
-    }
-
-    #[inline]
-    fn current(&self) -> Option<T::K> {
-        let f = self.stack.last().expect("cursor is open");
-        if f.pos < f.hi {
-            Some(self.key_at(self.stack.len() - 1, f.pos))
-        } else {
-            None
-        }
-    }
-
-    fn advance(&mut self) -> Option<T::K> {
-        let level = self.stack.len() - 1;
-        let (pos, hi) = {
-            let f = self.stack.last_mut().expect("cursor is open");
-            f.pos = f.end;
-            (f.pos, f.hi)
-        };
-        if pos < hi {
-            let k = self.key_at(level, pos);
-            let end = self.upper_bound(level, pos + 1, hi, k);
-            self.stack.last_mut().expect("cursor is open").end = end;
-            Some(k)
-        } else {
-            None
-        }
-    }
-
-    fn seek(&mut self, v: T::K) -> Option<T::K> {
-        self.seeks += 1;
-        let level = self.stack.len() - 1;
-        let f = *self.stack.last().expect("cursor is open");
-        if f.pos < f.hi {
-            let k = self.key_at(level, f.pos);
-            if k >= v {
-                return Some(k);
-            }
-        }
-        let pos = self.lower_bound(level, f.pos, f.hi, v);
-        if pos < f.hi {
-            let k = self.key_at(level, pos);
-            let end = self.upper_bound(level, pos + 1, f.hi, k);
-            let f = self.stack.last_mut().expect("cursor is open");
-            f.pos = pos;
-            f.end = end;
-            Some(k)
-        } else {
-            let f = self.stack.last_mut().expect("cursor is open");
-            f.pos = pos;
-            f.end = pos;
-            None
-        }
-    }
-
-    fn token(&self) -> (usize, usize, usize, usize) {
-        let f = self.stack.last().expect("cursor is open");
-        // Same permutation + same level + same row range ⇒ identical key
-        // runs (the range's implicit start is `pos`, monotone from the
-        // shared open range).
-        (self.keys.source_id(), self.stack.len(), f.pos, f.hi)
-    }
-
-    fn source_id(&self) -> usize {
-        self.keys.source_id()
-    }
-
-    fn top_slice(&self) -> Option<&[T::K]> {
-        None
-    }
-
-    fn frame_state(&self) -> (usize, usize) {
-        let f = self.stack.last().expect("cursor is open");
-        (f.pos, f.end)
-    }
-
-    fn set_frame_state(&mut self, st: (usize, usize)) {
-        let f = self.stack.last_mut().expect("cursor is open");
-        f.pos = st.0;
-        f.end = st.1;
-    }
-
-    fn drain_obs(&mut self) -> (u64, u64) {
-        let out = (self.seeks, self.steps);
-        self.seeks = 0;
-        self.steps = 0;
-        out
-    }
-}
 
 /// One open level of a [`CsrCursor`]: the entry range `[pos, hi)` plus
 /// the level's key array, cached in the frame so `key`/`seek`/`at_end`
@@ -698,7 +309,7 @@ struct CsrFrame<'a> {
     hi: u32,
 }
 
-/// The dense trie cursor: walks [`DenseTrie`]'s CSR entry arrays through
+/// The trie cursor: walks [`DenseTrie`]'s CSR entry arrays through
 /// slices borrowed from the run's [`DenseSnapshot`]. Distinct keys make
 /// `next` a position increment, child ranges are two offset loads, and
 /// seeks gallop over short duplicate-free `u32` runs — no group-end
@@ -708,29 +319,10 @@ pub(crate) struct CsrCursor<'a> {
     /// slice is empty.
     levels: Vec<(&'a [u32], &'a [u32])>,
     stack: Vec<CsrFrame<'a>>,
+    /// Locally batched probe counters, flushed to obs once per run (the
+    /// hot loop must not pay an atomic load per seek).
     seeks: u64,
     steps: u64,
-}
-
-impl<'a> CsrCursor<'a> {
-    fn new(trie: &'a DenseTrie, depth: usize) -> CsrCursor<'a> {
-        let levels = (0..depth)
-            .map(|l| {
-                let child: &[u32] = if l + 1 < depth {
-                    trie.entry_child_offsets(l)
-                } else {
-                    &[]
-                };
-                (trie.entry_keys(l), child)
-            })
-            .collect();
-        CsrCursor {
-            levels,
-            stack: Vec::with_capacity(depth),
-            seeks: 0,
-            steps: 0,
-        }
-    }
 }
 
 /// First index in `keys[lo..hi]` holding a key `>= v` (the slice is
@@ -780,9 +372,27 @@ fn seek_entries(keys: &[u32], lo: usize, hi: usize, v: u32, steps: &mut u64) -> 
     lo + l
 }
 
-impl<'a> TrieCursor for CsrCursor<'a> {
-    type K = u32;
+impl<'a> CsrCursor<'a> {
+    fn new(trie: &'a DenseTrie, depth: usize) -> CsrCursor<'a> {
+        let levels = (0..depth)
+            .map(|l| {
+                let child: &[u32] = if l + 1 < depth {
+                    trie.entry_child_offsets(l)
+                } else {
+                    &[]
+                };
+                (trie.entry_keys(l), child)
+            })
+            .collect();
+        CsrCursor {
+            levels,
+            stack: Vec::with_capacity(depth),
+            seeks: 0,
+            steps: 0,
+        }
+    }
 
+    /// Descends into the current key's children (or the root level).
     #[inline]
     fn open(&mut self) {
         let level = self.stack.len();
@@ -800,10 +410,17 @@ impl<'a> TrieCursor for CsrCursor<'a> {
         });
     }
 
+    /// Ascends one level.
     fn up(&mut self) {
         self.stack.pop();
     }
 
+    /// The current key, or `None` when the level is exhausted.
+    ///
+    /// The position/key accessors fold "at end?" and "which key?" into
+    /// one call on purpose: the leapfrog alignment loop touches every
+    /// participant once per pass, and each separate method call re-reads
+    /// the cursor's top frame.
     #[inline]
     fn current(&self) -> Option<u32> {
         let f = self.stack.last().expect("cursor is open");
@@ -814,6 +431,8 @@ impl<'a> TrieCursor for CsrCursor<'a> {
         }
     }
 
+    /// Advances to the next key at the current level and returns it
+    /// (`None` when the level runs out).
     #[inline]
     fn advance(&mut self) -> Option<u32> {
         let f = self.stack.last_mut().expect("cursor is open");
@@ -825,6 +444,8 @@ impl<'a> TrieCursor for CsrCursor<'a> {
         }
     }
 
+    /// Positions at the first key `>= v` (keys only move forward) and
+    /// returns it (`None` when the level runs out).
     #[inline]
     fn seek(&mut self, v: u32) -> Option<u32> {
         self.seeks += 1;
@@ -837,39 +458,50 @@ impl<'a> TrieCursor for CsrCursor<'a> {
         }
     }
 
-    fn token(&self) -> (usize, usize, usize, usize) {
+    /// An identity of the open top frame: two cursors with equal tokens
+    /// are positioned on the **same range of the same key array** — they
+    /// will enumerate identical keys here and expose identical subtrees
+    /// below. The key slice is the whole CSR entry array of one trie level
+    /// (never empty for a materialized trie), so its base pointer pins
+    /// trie + level; `[pos, hi)` pins the frame. Content-deduped tries of
+    /// a symmetric relation under both column orders share the arrays, so
+    /// their cursors collide here and the recursion elides the duplicate.
+    fn token(&self) -> (usize, u32, u32) {
         let f = self.stack.last().expect("cursor is open");
-        // The key slice is the whole CSR entry array of one trie level
-        // (never empty for a materialized trie), so its base pointer pins
-        // trie + level; `[pos, hi)` pins the frame. Content-deduped tries
-        // share the arrays, so symmetric-order cursors collide here.
-        (f.keys.as_ptr() as usize, 0, f.pos as usize, f.hi as usize)
+        (f.keys.as_ptr() as usize, f.pos, f.hi)
     }
 
+    /// A pointer-identity of the cursor's trie: the root entry array
+    /// (content-deduped orders share it), so cursors with equal nonzero
+    /// ids read the same arrays and equal seek histories leave them on
+    /// identical frames. Degenerate zero-arity cursors opt out with 0.
     fn source_id(&self) -> usize {
-        // The root entry array pins the trie (content-deduped orders
-        // share it); degenerate zero-arity cursors opt out with 0.
         self.levels.first().map_or(0, |l| l.0.as_ptr() as usize)
     }
 
+    /// The top frame's remaining keys as one contiguous slice. Powers the
+    /// leaf-depth intersection fast path.
     #[inline]
-    fn top_slice(&self) -> Option<&[u32]> {
+    fn top_slice(&self) -> &[u32] {
         let f = self.stack.last().expect("cursor is open");
-        Some(&f.keys[f.pos as usize..f.hi as usize])
+        &f.keys[f.pos as usize..f.hi as usize]
     }
 
+    /// The top frame's position. Only meaningful for mirroring onto a
+    /// cursor whose token equaled this one's at open: the backing arrays
+    /// are the same, so the position transfers verbatim.
     #[inline]
-    fn frame_state(&self) -> (usize, usize) {
-        let f = self.stack.last().expect("cursor is open");
-        (f.pos as usize, 0)
+    fn pos(&self) -> u32 {
+        self.stack.last().expect("cursor is open").pos
     }
 
+    /// Overwrites the top frame's position (see [`CsrCursor::pos`]).
     #[inline]
-    fn set_frame_state(&mut self, st: (usize, usize)) {
-        let f = self.stack.last_mut().expect("cursor is open");
-        f.pos = st.0 as u32;
+    fn set_pos(&mut self, pos: u32) {
+        self.stack.last_mut().expect("cursor is open").pos = pos;
     }
 
+    /// Drains the locally batched `(seeks, gallop_steps)` probe counts.
     fn drain_obs(&mut self) -> (u64, u64) {
         let out = (self.seeks, self.steps);
         self.seeks = 0;
@@ -881,7 +513,7 @@ impl<'a> TrieCursor for CsrCursor<'a> {
 /// Intersects two strictly ascending slices into `out` (cleared first):
 /// two-pointer merge when the sizes are comparable, per-element binary
 /// probes into the larger side when they are skewed.
-fn intersect_into<K: Copy + Ord>(a: &[K], b: &[K], out: &mut Vec<K>) {
+fn intersect_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     out.clear();
     let (a, b) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if a.is_empty() {
@@ -920,10 +552,10 @@ fn intersect_into<K: Copy + Ord>(a: &[K], b: &[K], out: &mut Vec<K>) {
 /// ascending order without materializing it: two-pointer merge when the
 /// sizes are comparable, per-element binary probes into the larger side
 /// when they are skewed.
-fn intersect_stream<K: Copy + Ord>(
-    a: &[K],
-    b: &[K],
-    mut f: impl FnMut(K) -> ControlFlow<()>,
+fn intersect_stream(
+    a: &[u32],
+    b: &[u32],
+    mut f: impl FnMut(u32) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     let (a, b) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if a.is_empty() {
@@ -964,8 +596,8 @@ fn intersect_stream<K: Copy + Ord>(
 
 /// One atom's executor state: its cursor plus a pointer to the next trie
 /// level to descend.
-struct RunAtom<'a, Cur: TrieCursor> {
-    cursor: Cur,
+struct RunAtom<'a> {
+    cursor: CsrCursor<'a>,
     keys: &'a [LevelKey],
     ptr: usize,
 }
@@ -986,17 +618,19 @@ pub(crate) enum SplitProbe {
 }
 
 /// A running worst-case-optimal search: the recursion over the global
-/// variable order, generic over the key representation. Constructed per
-/// enumeration by the kernel ([`crate::compile::KernelSearch`] routes
-/// here when the strategy gate picks WCOJ).
-pub(crate) struct WcojRun<'a, C: Codec, Cur: TrieCursor<K = C::K>> {
-    codec: C,
+/// variable order, on dictionary codes. Constructed per enumeration by
+/// the kernel ([`crate::compile::KernelSearch`] routes here when the
+/// strategy gate picks WCOJ).
+pub(crate) struct WcojRun<'a> {
+    /// The snapshot's order-preserving dictionary: encodes fixed
+    /// bindings and constants, decodes answers.
+    dict: &'a Dict,
     order: &'a [u32],
-    atoms: Vec<RunAtom<'a, Cur>>,
+    atoms: Vec<RunAtom<'a>>,
     injective: bool,
     allowed: Option<&'a HashSet<Value>>,
     /// Encoded bindings, indexed by slot (what the cursors compare).
-    val: Vec<Option<C::K>>,
+    val: Vec<Option<u32>>,
     /// Decoded pre-bound values, indexed by slot. A fixed value absent
     /// from the dense dictionary can be bound here while `val` stays
     /// `None` — legal only for slots no atom constrains. Search-bound
@@ -1015,19 +649,19 @@ pub(crate) struct WcojRun<'a, C: Codec, Cur: TrieCursor<K = C::K>> {
     extra_at: Vec<Vec<u32>>,
     /// Per depth, the leapfrog ring scratch `(current key, atom)` — kept
     /// on the run so the recursion never allocates per node.
-    ring_at: Vec<Vec<(C::K, u32)>>,
+    ring_at: Vec<Vec<(u32, u32)>>,
     /// Per depth, scratch for the duplicate-cursor partition: the ring
     /// participants after eliding duplicates, the elided ("lazy")
     /// participants, and the open-frame tokens seen. Recomputed per node
     /// (frames differ per node), allocated once.
     active_at: Vec<Vec<u32>>,
     lazy_at: Vec<Vec<(u32, u32)>>,
-    tok_at: Vec<Vec<(usize, usize, usize, usize)>>,
+    tok_at: Vec<Vec<(usize, u32, u32)>>,
     /// Leaf-depth intersection scratch (ping-pong pair): the last
     /// variable's candidates are materialized by slice intersection and
     /// emitted in one tight loop instead of driving the ring.
-    leaf_buf: Vec<C::K>,
-    leaf_tmp: Vec<C::K>,
+    leaf_buf: Vec<u32>,
+    leaf_tmp: Vec<u32>,
     /// `true` when every slot is provably bound by emit time (pre-bound
     /// or keyed by some atom at its depth): `row` is then maintained
     /// incrementally — one decode per binding, not one per slot per
@@ -1036,65 +670,22 @@ pub(crate) struct WcojRun<'a, C: Codec, Cur: TrieCursor<K = C::K>> {
     row_live: bool,
 }
 
-/// The generic-representation run.
-pub(crate) type GenericRun<'a> = WcojRun<'a, GenericCodec, Cursor<GenericKeys<'a>>>;
-/// The dense-representation run.
-pub(crate) type DenseRun<'a> = WcojRun<'a, DenseCodec<'a>, CsrCursor<'a>>;
-
-impl<'a> GenericRun<'a> {
-    /// Builds a generic-`Value` run over sorted-permutation cursors.
-    pub(crate) fn new_generic(
-        wplan: &'a WcojPlan,
-        target: &'a Instance,
-        val: Vec<Option<Value>>,
-        used: HashSet<Value>,
-        injective: bool,
-        allowed: Option<&'a HashSet<Value>>,
-        skip: Option<usize>,
-    ) -> Option<GenericRun<'a>> {
-        let mut cursors: Vec<(Cursor<GenericKeys<'a>>, &'a [LevelKey])> = Vec::new();
-        for (i, ap) in wplan.atoms.iter().enumerate() {
-            if Some(i) == skip {
-                continue;
-            }
-            let pc = target.columns(ap.predicate, ap.arity);
-            let cols: Vec<&'a [Value]> = ap
-                .col_order
-                .iter()
-                .map(|&j| pc.map_or(&[] as &[Value], |c| c.col(j as usize)))
-                .collect();
-            let perm = target.sorted_permutation(ap.predicate, ap.arity, &ap.col_order);
-            let cursor = Cursor::new(GenericKeys { perm, cols }, ap.col_order.len());
-            if cursor.rows == 0 {
-                return None;
-            }
-            cursors.push((cursor, ap.keys.as_slice()));
-        }
-        WcojRun::init(
-            GenericCodec,
-            cursors,
-            &wplan.order,
-            val,
-            used,
-            injective,
-            allowed,
-        )
-    }
-}
-
-impl<'a> DenseRun<'a> {
-    /// Builds a dense-`u32` run over flat trie-level cursors borrowing
-    /// the caller's [`DenseSnapshot`] (one consistent
-    /// [`gtgd_data::Dict`]/[`gtgd_data::DenseTrie`] epoch).
-    pub(crate) fn new_dense(
+impl<'a> WcojRun<'a> {
+    /// Builds a run over trie cursors borrowing the caller's
+    /// [`DenseSnapshot`] (one consistent [`gtgd_data::Dict`] /
+    /// [`gtgd_data::DenseTrie`] epoch): encodes the fixed bindings
+    /// (`raw`), rejects provably empty searches (an empty relation, an
+    /// un-encodable constrained binding or constant), and descends every
+    /// atom's constant trie prefix.
+    pub(crate) fn new(
         snap: &'a DenseSnapshot,
         wplan: &'a WcojPlan,
-        val: Vec<Option<Value>>,
+        raw: Vec<Option<Value>>,
         used: HashSet<Value>,
         injective: bool,
         allowed: Option<&'a HashSet<Value>>,
         skip: Option<usize>,
-    ) -> Option<DenseRun<'a>> {
+    ) -> Option<WcojRun<'a>> {
         let active = wplan
             .atoms
             .iter()
@@ -1108,36 +699,13 @@ impl<'a> DenseRun<'a> {
             let levels = ap.col_order.len();
             cursors.push((CsrCursor::new(trie, levels), ap.keys.as_slice()));
         }
-        WcojRun::init(
-            DenseCodec { dict: &snap.dict },
-            cursors,
-            &wplan.order,
-            val,
-            used,
-            injective,
-            allowed,
-        )
-    }
-}
-
-impl<'a, C: Codec, Cur: TrieCursor<K = C::K>> WcojRun<'a, C, Cur> {
-    /// Shared construction: encodes the fixed bindings, rejects provably
-    /// empty searches (an un-encodable constrained binding or constant),
-    /// and descends every atom's constant trie prefix.
-    fn init(
-        codec: C,
-        cursors: Vec<(Cur, &'a [LevelKey])>,
-        order: &'a [u32],
-        raw: Vec<Option<Value>>,
-        used: HashSet<Value>,
-        injective: bool,
-        allowed: Option<&'a HashSet<Value>>,
-    ) -> Option<WcojRun<'a, C, Cur>> {
+        let dict: &'a Dict = &snap.dict;
+        let order: &'a [u32] = &wplan.order;
         let n = raw.len();
-        let mut val: Vec<Option<C::K>> = vec![None; n];
+        let mut val: Vec<Option<u32>> = vec![None; n];
         for (s, bound) in raw.iter().enumerate() {
             if let Some(x) = *bound {
-                val[s] = codec.encode(x);
+                val[s] = dict.code(x);
                 if val[s].is_none() {
                     // The value occurs in no scanned relation: any atom
                     // level keyed by this slot's depth is unsatisfiable.
@@ -1161,7 +729,7 @@ impl<'a, C: Codec, Cur: TrieCursor<K = C::K>> WcojRun<'a, C, Cur> {
         // is where content-deduped symmetric tries pay off — `E(x,y)`
         // and `E(y,x)` compile to one trie and identical key sequences,
         // halving the atom set of clique-style queries.
-        let mut kept: Vec<(Cur, &'a [LevelKey])> = Vec::with_capacity(cursors.len());
+        let mut kept: Vec<(CsrCursor<'a>, &'a [LevelKey])> = Vec::with_capacity(cursors.len());
         for (cursor, keys) in cursors {
             let id = cursor.source_id();
             let dup = id != 0
@@ -1182,7 +750,7 @@ impl<'a, C: Codec, Cur: TrieCursor<K = C::K>> WcojRun<'a, C, Cur> {
             .collect();
         let depths = order.len();
         let mut run = WcojRun {
-            codec,
+            dict,
             order,
             atoms,
             injective,
@@ -1204,7 +772,7 @@ impl<'a, C: Codec, Cur: TrieCursor<K = C::K>> WcojRun<'a, C, Cur> {
         };
         for ai in 0..run.atoms.len() {
             while let Some(LevelKey::Const(c)) = run.next_key(ai) {
-                let code = run.codec.encode(c)?;
+                let code = run.dict.code(c)?;
                 if !run.open_seek(ai, code) {
                     return None;
                 }
@@ -1237,7 +805,7 @@ impl<'a, C: Codec, Cur: TrieCursor<K = C::K>> WcojRun<'a, C, Cur> {
                 if let Some(v) = run.raw[sl] {
                     run.row[sl] = v;
                 } else if let Some(k) = run.val[sl] {
-                    run.row[sl] = run.codec.decode(k);
+                    run.row[sl] = run.dict.decode(k);
                 }
             }
         }
@@ -1258,7 +826,7 @@ impl<'a, C: Codec, Cur: TrieCursor<K = C::K>> WcojRun<'a, C, Cur> {
     /// Opens atom `ai`'s next trie level and seeks `x`; `true` iff the
     /// level contains `x`. The level stays open either way (the caller
     /// unwinds with [`WcojRun::close`]).
-    fn open_seek(&mut self, ai: usize, x: C::K) -> bool {
+    fn open_seek(&mut self, ai: usize, x: u32) -> bool {
         let a = &mut self.atoms[ai];
         a.cursor.open();
         a.ptr += 1;
@@ -1410,7 +978,7 @@ impl<'a, C: Codec, Cur: TrieCursor<K = C::K>> WcojRun<'a, C, Cur> {
                 Some(v) => v,
                 None => {
                     let k = self.val[i].expect("every slot is bound at a full match");
-                    self.codec.decode(k)
+                    self.dict.decode(k)
                 }
             };
         }
@@ -1421,9 +989,8 @@ impl<'a, C: Codec, Cur: TrieCursor<K = C::K>> WcojRun<'a, C, Cur> {
     /// directly, smallest first, streaming the *final* intersection
     /// straight into the answer callback — the last merge is never
     /// materialized, and with one or two participants nothing is.
-    /// `None` when a participant has no contiguous key slice (generic
-    /// cursors) or the fan-in exceeds the stack scratch; the caller
-    /// falls back to the ring.
+    /// `None` when the fan-in exceeds the stack scratch; the caller falls
+    /// back to the ring.
     fn leaf_emit(
         &mut self,
         parts: &[u32],
@@ -1444,20 +1011,19 @@ impl<'a, C: Codec, Cur: TrieCursor<K = C::K>> WcojRun<'a, C, Cur> {
         &self,
         parts: &[u32],
         s: usize,
-        buf: &mut Vec<C::K>,
-        tmp: &mut Vec<C::K>,
+        buf: &mut Vec<u32>,
+        tmp: &mut Vec<u32>,
         row: &mut [Value],
         f: &mut impl FnMut(&[Value]) -> ControlFlow<()>,
     ) -> Option<ControlFlow<()>> {
         if parts.len() > 8 {
             return None;
         }
-        let empty: &[C::K] = &[];
+        let empty: &[u32] = &[];
         let mut sl = [empty; 8];
-        let mut n = 0usize;
-        for &ai in parts {
-            sl[n] = self.atoms[ai as usize].cursor.top_slice()?;
-            n += 1;
+        let n = parts.len();
+        for (slot, &ai) in sl.iter_mut().zip(parts) {
+            *slot = self.atoms[ai as usize].cursor.top_slice();
         }
         let sl = &mut sl[..n];
         sl.sort_unstable_by_key(|x| x.len());
@@ -1473,13 +1039,13 @@ impl<'a, C: Codec, Cur: TrieCursor<K = C::K>> WcojRun<'a, C, Cur> {
                     Some(v) => v,
                     None => {
                         let k = self.val[i].expect("every slot is bound at a full match");
-                        self.codec.decode(k)
+                        self.dict.decode(k)
                     }
                 };
             }
         }
-        let mut emit = |x: C::K| {
-            row[s] = self.codec.decode(x);
+        let mut emit = |x: u32| {
+            row[s] = self.dict.decode(x);
             f(row)
         };
         Some(match n {
@@ -1651,7 +1217,7 @@ impl<'a, C: Codec, Cur: TrieCursor<K = C::K>> WcojRun<'a, C, Cur> {
         &mut self,
         d: usize,
         s: usize,
-        x: C::K,
+        x: u32,
         lazy: &[(u32, u32)],
         f: &mut impl FnMut(&[Value]) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
@@ -1659,7 +1225,7 @@ impl<'a, C: Codec, Cur: TrieCursor<K = C::K>> WcojRun<'a, C, Cur> {
         // decode entirely on the (common) unchecked path.
         let mut xv = None;
         if self.injective || self.allowed.is_some() {
-            let v = self.codec.decode(x);
+            let v = self.dict.decode(x);
             if self.injective && self.used.contains(&v) {
                 return ControlFlow::Continue(());
             }
@@ -1674,12 +1240,12 @@ impl<'a, C: Codec, Cur: TrieCursor<K = C::K>> WcojRun<'a, C, Cur> {
         // value by copying their twin's frame position — the backing
         // arrays are identical (equal tokens at open), and the twin sits
         // exactly on `x` whenever a match fires, so the copy is the seek
-        // the duplicate would have performed, for two loads and a store.
+        // the duplicate would have performed, for one load and a store.
         // This keeps the duplicate's position correct for the deeper
         // levels it opens below.
         for &(lz, tw) in lazy {
-            let st = self.atoms[tw as usize].cursor.frame_state();
-            self.atoms[lz as usize].cursor.set_frame_state(st);
+            let pos = self.atoms[tw as usize].cursor.pos();
+            self.atoms[lz as usize].cursor.set_pos(pos);
         }
         // Repeated variables: further levels of the same atom keyed by this
         // depth must also contain x.
@@ -1696,7 +1262,7 @@ impl<'a, C: Codec, Cur: TrieCursor<K = C::K>> WcojRun<'a, C, Cur> {
         let r = if ok {
             self.val[s] = Some(x);
             if self.row_live {
-                self.row[s] = xv.unwrap_or_else(|| self.codec.decode(x));
+                self.row[s] = xv.unwrap_or_else(|| self.dict.decode(x));
             }
             if self.injective {
                 self.used
@@ -1782,7 +1348,7 @@ impl<'a, C: Codec, Cur: TrieCursor<K = C::K>> WcojRun<'a, C, Cur> {
                         break;
                     }
                 }
-                out.push(self.codec.decode(x));
+                out.push(self.dict.decode(x));
                 x0 = self.atoms[parts[0]].cursor.advance();
             }
             return SplitProbe::Candidates(s, out);
@@ -1792,7 +1358,7 @@ impl<'a, C: Codec, Cur: TrieCursor<K = C::K>> WcojRun<'a, C, Cur> {
 
 #[cfg(test)]
 mod tests {
-    use crate::compile::{CompiledQuery, Repr, Strategy};
+    use crate::compile::{CompiledQuery, Strategy};
     use crate::parser::parse_cq;
     use gtgd_data::{GroundAtom, Instance, Value};
     use std::collections::HashSet;
@@ -1811,11 +1377,10 @@ mod tests {
         Instance::from_atoms(atoms)
     }
 
-    fn rows_sorted(q: &CompiledQuery, db: &Instance, s: Strategy, r: Repr) -> Vec<Vec<Value>> {
+    fn rows_sorted(q: &CompiledQuery, db: &Instance, s: Strategy) -> Vec<Vec<Value>> {
         let mut rows: Vec<Vec<Value>> = q
             .search(db)
             .strategy(s)
-            .repr(r)
             .table()
             .rows()
             .map(|r| r.to_vec())
@@ -1827,14 +1392,11 @@ mod tests {
     fn assert_strategies_agree(src: &str, db: &Instance) {
         let q = parse_cq(src).unwrap();
         let plan = CompiledQuery::compile(&q.atoms);
-        let expect = rows_sorted(&plan, db, Strategy::Backtrack, Repr::Auto);
-        for repr in [Repr::Dense, Repr::Generic] {
-            assert_eq!(
-                rows_sorted(&plan, db, Strategy::Wcoj, repr),
-                expect,
-                "{src} {repr:?}"
-            );
-        }
+        assert_eq!(
+            rows_sorted(&plan, db, Strategy::Wcoj),
+            rows_sorted(&plan, db, Strategy::Backtrack),
+            "{src}"
+        );
     }
 
     #[test]
@@ -1851,33 +1413,6 @@ mod tests {
         ] {
             assert_strategies_agree(src, &db);
         }
-    }
-
-    #[test]
-    fn dense_and_generic_emit_identical_order() {
-        let db = tri_db();
-        let q = parse_cq("Q() :- E(X,Y), E(Y,Z), E(Z,X)").unwrap();
-        let plan = CompiledQuery::compile(&q.atoms);
-        // Not sorted: dense codes are order-preserving, so the two
-        // representations must enumerate in exactly the same order.
-        let dense: Vec<Vec<Value>> = plan
-            .search(&db)
-            .strategy(Strategy::Wcoj)
-            .repr(Repr::Dense)
-            .table()
-            .rows()
-            .map(|r| r.to_vec())
-            .collect();
-        let generic: Vec<Vec<Value>> = plan
-            .search(&db)
-            .strategy(Strategy::Wcoj)
-            .repr(Repr::Generic)
-            .table()
-            .rows()
-            .map(|r| r.to_vec())
-            .collect();
-        assert_eq!(dense, generic);
-        assert!(!dense.is_empty());
     }
 
     #[test]
@@ -1905,26 +1440,24 @@ mod tests {
         let db = tri_db();
         let q = parse_cq("Q() :- E(X,Y), E(Y,Z), E(Z,X)").unwrap();
         let plan = CompiledQuery::compile(&q.atoms);
-        for repr in [Repr::Dense, Repr::Generic] {
-            let wcoj = || plan.search(&db).strategy(Strategy::Wcoj).repr(repr);
-            let back = || plan.search(&db).strategy(Strategy::Backtrack);
-            // Triangle homs: 6 oriented triangles on {a,b,c} plus 2-cycles
-            // using repeated vertices; count must match the backtracker.
-            assert_eq!(wcoj().count(), back().count());
-            assert_eq!(wcoj().injective().count(), back().injective().count());
-            let allowed: HashSet<Value> = [v("a"), v("b"), v("c")].into_iter().collect();
-            assert_eq!(
-                wcoj().restrict_images(&allowed).count(),
-                back().restrict_images(&allowed).count()
-            );
-            let sx = plan.slot_of(crate::cq::Var(0)).unwrap();
-            assert_eq!(
-                wcoj().fix_slots([(sx, v("a"))]).count(),
-                back().fix_slots([(sx, v("a"))]).count()
-            );
-            // A fixed value outside the active domain: zero rows, no panic.
-            assert_eq!(wcoj().fix_slots([(sx, v("zz"))]).count(), 0);
-        }
+        let wcoj = || plan.search(&db).strategy(Strategy::Wcoj);
+        let back = || plan.search(&db).strategy(Strategy::Backtrack);
+        // Triangle homs: 6 oriented triangles on {a,b,c} plus 2-cycles
+        // using repeated vertices; count must match the backtracker.
+        assert_eq!(wcoj().count(), back().count());
+        assert_eq!(wcoj().injective().count(), back().injective().count());
+        let allowed: HashSet<Value> = [v("a"), v("b"), v("c")].into_iter().collect();
+        assert_eq!(
+            wcoj().restrict_images(&allowed).count(),
+            back().restrict_images(&allowed).count()
+        );
+        let sx = plan.slot_of(crate::cq::Var(0)).unwrap();
+        assert_eq!(
+            wcoj().fix_slots([(sx, v("a"))]).count(),
+            back().fix_slots([(sx, v("a"))]).count()
+        );
+        // A fixed value outside the active domain: zero rows, no panic.
+        assert_eq!(wcoj().fix_slots([(sx, v("zz"))]).count(), 0);
     }
 
     #[test]
@@ -1935,31 +1468,22 @@ mod tests {
         let seed = plan
             .unify_atom(0, &GroundAtom::named("E", &["a", "b"]))
             .unwrap();
-        let mut back: Vec<Vec<Value>> = Vec::new();
-        plan.search(&db)
-            .strategy(Strategy::Backtrack)
-            .fix_slots(seed.clone())
-            .skip_atom(0)
-            .for_each_row(|r| {
-                back.push(r.to_vec());
-                std::ops::ControlFlow::Continue(())
-            });
-        back.sort();
-        for repr in [Repr::Dense, Repr::Generic] {
-            let mut wcoj: Vec<Vec<Value>> = Vec::new();
+        let rows = |s: Strategy| {
+            let mut out: Vec<Vec<Value>> = Vec::new();
             plan.search(&db)
-                .strategy(Strategy::Wcoj)
-                .repr(repr)
+                .strategy(s)
                 .fix_slots(seed.clone())
                 .skip_atom(0)
                 .for_each_row(|r| {
-                    wcoj.push(r.to_vec());
+                    out.push(r.to_vec());
                     std::ops::ControlFlow::Continue(())
                 });
-            wcoj.sort();
-            assert_eq!(wcoj, back, "{repr:?}");
-            assert!(!wcoj.is_empty());
-        }
+            out.sort();
+            out
+        };
+        let wcoj = rows(Strategy::Wcoj);
+        assert_eq!(wcoj, rows(Strategy::Backtrack));
+        assert!(!wcoj.is_empty());
     }
 
     #[test]
@@ -1978,19 +1502,16 @@ mod tests {
                 .rows()
                 .map(|r| r.to_vec())
                 .collect();
-            for repr in [Repr::Auto, Repr::Dense, Repr::Generic] {
-                for w in [1usize, 2, 4, 7] {
-                    let par: Vec<Vec<Value>> = plan
-                        .search(&db)
-                        .repr(repr)
-                        .par_table(w)
-                        .rows()
-                        .map(|r| r.to_vec())
-                        .collect();
-                    // The morsel merge preserves sequential order exactly
-                    // (not just as a set).
-                    assert_eq!(par, seq, "{src} at {w} workers {repr:?}");
-                }
+            for w in [1usize, 2, 4, 7] {
+                let par: Vec<Vec<Value>> = plan
+                    .search(&db)
+                    .par_table(w)
+                    .rows()
+                    .map(|r| r.to_vec())
+                    .collect();
+                // The morsel merge preserves sequential order exactly
+                // (not just as a set).
+                assert_eq!(par, seq, "{src} at {w} workers");
             }
         }
     }

@@ -228,6 +228,17 @@ impl Server {
     /// [`run`](Server::run).
     pub fn start(snapshot_path: PathBuf, addr: &str) -> Result<Server, SnapshotError> {
         let loaded = load_snapshot(&snapshot_path)?;
+        Ok(Server::with_snapshot(loaded, snapshot_path, addr)?)
+    }
+
+    /// Binds `addr` to serve an already loaded snapshot; writes persist
+    /// back to `snapshot_path`. Lets a caller tell a snapshot that fails
+    /// to load apart from an address that fails to bind.
+    pub fn with_snapshot(
+        loaded: LoadedSnapshot,
+        snapshot_path: PathBuf,
+        addr: &str,
+    ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let tgds = loaded.tgds.clone();

@@ -1,8 +1,8 @@
 //! The persistent snapshot format: a versioned, checksummed binary image
 //! of a maintained chase fixpoint — interned symbols, the instance in
-//! insertion order, sorted-index permutations, the dense dictionary and
-//! tries, and the delta-chase fired set — written after saturation and
-//! loaded with **no re-chase and no re-sort**.
+//! insertion order, the dense dictionary and tries, and the delta-chase
+//! fired set — written after saturation and loaded with **no re-chase and
+//! no re-sort**.
 //!
 //! # Format
 //!
@@ -16,15 +16,18 @@
 //!   2. null fence     largest persisted null label
 //!   3. TGDs           structural (var names + body/head atoms), not text
 //!   4. instance       atoms in insertion order
-//!   5. sorted indexes exported `SortedIndexCache` permutations
-//!   6. dense          dictionary, encoded tables, trie permutations
-//!   7. maintain       completeness, atom cap, then base facts and alive
+//!   5. dense          dictionary, encoded tables, trie permutations
+//!   6. maintain       completeness, atom cap, then base facts and alive
 //!                     firings (kept last so a loader can carve them off
 //!                     as raw bytes and defer their decode to thaw)
 //! ```
 //!
 //! The checksum covers the payload only, so a version bump reports
 //! [`SnapshotError::UnsupportedVersion`] rather than a spurious mismatch.
+//! Version 1 files carried a further section of sorted-permutation
+//! indexes (for a second WCOJ key representation, since removed) between
+//! the instance and the dense state; they are refused, not migrated —
+//! re-create them with `gtgd snapshot` or `gtgd ingest --snapshot`.
 //!
 //! # Why loading is cheap
 //!
@@ -32,23 +35,21 @@
 //! read: symbols are interned in ascending old-id order (one pass), the
 //! instance adopts the decoded atom vector wholesale (its hash indexes
 //! and columnar arenas mirror lazily from the atoms on first demand —
-//! [`Instance::from_unique_atoms`]), index permutations and dense tries
-//! are *installed* — validated in linear time by
-//! [`Instance::install_sorted_indexes`] / [`Instance::install_dense`],
+//! [`Instance::from_unique_atoms`]), dense tables and tries are
+//! *installed* — validated in linear time by [`Instance::install_dense`],
 //! never re-sorted — and the fired set is kept frozen **as raw bytes**
 //! until the first write, when it is decoded and rebuilt by hashing
 //! firing records ([`MaintainedInstance::from_parts`]), never by
 //! re-running the chase.
-//! Sections that fail their validation (e.g. a permutation that is not
-//! sorted under this process's interning order) are skipped and simply
+//! Sections that fail their validation (e.g. a trie permutation that is
+//! not sorted under this process's interning order) are skipped and simply
 //! rebuild lazily on first use; sections whose bytes are damaged fail the
 //! checksum and the whole load fails closed.
 
 use crate::bytes::{fnv1a64x8, Reader, Writer};
 use gtgd_chase::{FiringExport, MaintainExport, MaintainedInstance, Tgd};
 use gtgd_data::{
-    DenseExport, DenseTableExport, DenseTrieExport, GroundAtom, IndexExport, Instance, Predicate,
-    Symbol, Value,
+    DenseExport, DenseTableExport, DenseTrieExport, GroundAtom, Instance, Predicate, Symbol, Value,
 };
 use gtgd_query::{QAtom, Term, Var};
 use std::collections::{BTreeSet, HashMap};
@@ -61,7 +62,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"GTGDSNAP";
 
 /// Current format version. Bumped on any incompatible layout change;
 /// readers refuse other versions outright.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Header size: magic + version + payload length + checksum.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
@@ -123,11 +124,11 @@ impl From<io::Error> for SnapshotError {
 /// A snapshot restored into this process: the rule set, the chased
 /// instance (query-ready immediately), the still-frozen fired set
 /// (thawed into a [`MaintainedInstance`] on demand), and counts of how
-/// many persisted index sections survived validation and were installed
-/// (the rest rebuild lazily on first use).
+/// many persisted dense tables and tries survived validation and were
+/// installed (the rest rebuild lazily on first use).
 ///
 /// The split keeps the load path sequential: queries only need the
-/// instance, so [`load_snapshot`] stops after decode + index install and
+/// instance, so [`load_snapshot`] stops after decode + trie install and
 /// keeps the checksummed base/firings section as raw bytes. Decoding the
 /// fired set and rebuilding the dependency index that `insert`/`retract`
 /// need (per-firing allocation and hashing proportional to the fired
@@ -153,8 +154,6 @@ pub struct LoadedSnapshot {
     image: Vec<u8>,
     /// Byte offset of the frozen base + firings tail within `image`.
     frozen_from: usize,
-    /// Sorted-index permutations installed without re-sorting.
-    pub indexes_installed: usize,
     /// Dense encoded tables installed without re-encoding.
     pub dense_tables_installed: usize,
     /// Dense tries installed without re-sorting.
@@ -235,7 +234,7 @@ impl LoadedSnapshot {
 /// positions in the persisted symbol table, which lists names in
 /// ascending old-id order — so a fresh process that interns them in file
 /// order assigns ascending (hence order-preserving) new ids, and the
-/// persisted sorted permutations validate and install.
+/// persisted dense dictionary and tries validate and install.
 struct SymTable {
     index: HashMap<Symbol, u64>,
 }
@@ -363,7 +362,6 @@ fn max_null_label(atoms: &Instance, dense: &DenseExport, maintain: &MaintainExpo
 /// payload). Pure encoding; [`save_snapshot`] adds the atomic file dance.
 pub fn snapshot_bytes(tgds: &[Tgd], m: &MaintainedInstance) -> Vec<u8> {
     let instance = m.instance();
-    let indexes = instance.export_sorted_indexes();
     let dense = instance.export_dense();
     let maintain = m.export_state();
     let (symbols, syms) = SymTable::build(tgds, instance, &dense);
@@ -389,26 +387,12 @@ pub fn snapshot_bytes(tgds: &[Tgd], m: &MaintainedInstance) -> Vec<u8> {
         put_qatoms(&mut p, &syms, &t.head);
     }
     // 4. Instance atoms in insertion order (arena row ids are positional,
-    //    so order is load-bearing for the index sections).
+    //    so order is load-bearing for the dense section).
     p.len(instance.len());
     for a in instance.iter() {
         put_atom(&mut p, &syms, a);
     }
-    // 5. Sorted-index permutations.
-    p.len(indexes.len());
-    for e in &indexes {
-        p.u64(syms.local(e.predicate.0));
-        p.u16(e.arity);
-        p.len(e.order.len());
-        for &c in &e.order {
-            p.u16(c);
-        }
-        p.len(e.perm.len());
-        for &row in &e.perm {
-            p.u32(row);
-        }
-    }
-    // 6. Dense dictionary, encoded tables, trie permutations, counters.
+    // 5. Dense dictionary, encoded tables, trie permutations, counters.
     p.len(dense.dict.len());
     for &v in &dense.dict {
         put_value(&mut p, &syms, v);
@@ -441,7 +425,7 @@ pub fn snapshot_bytes(tgds: &[Tgd], m: &MaintainedInstance) -> Vec<u8> {
     p.u64(dense.dict_hits as u64);
     p.u64(dense.dict_misses as u64);
     p.u64(dense.remaps as u64);
-    // 7. Maintain state: completeness and cap first (cheap scalars the
+    // 6. Maintain state: completeness and cap first (cheap scalars the
     //    loader wants eagerly), then base facts and alive firings — last
     //    in the payload on purpose, so the loader can keep them as one
     //    raw byte run and defer their decode to thaw time.
@@ -661,22 +645,7 @@ fn load_snapshot_owned(image: Vec<u8>) -> Result<LoadedSnapshot, SnapshotError> 
     for _ in 0..natoms {
         atoms.push(get_atom(&mut r, &syms).map_err(mal)?);
     }
-    // 5. Sorted indexes.
-    let nindexes = r.len().map_err(mal)?;
-    let mut indexes = Vec::with_capacity(nindexes);
-    for _ in 0..nindexes {
-        let predicate = get_pred(&mut r, &syms).map_err(mal)?;
-        let arity = r.u16().map_err(mal)?;
-        let order = get_u16s(&mut r).map_err(mal)?;
-        let perm = get_u32s(&mut r).map_err(mal)?;
-        indexes.push(IndexExport {
-            predicate,
-            arity,
-            order,
-            perm,
-        });
-    }
-    // 6. Dense.
+    // 5. Dense.
     let ndict = r.len().map_err(mal)?;
     let mut dict = Vec::with_capacity(ndict);
     for _ in 0..ndict {
@@ -723,7 +692,7 @@ fn load_snapshot_owned(image: Vec<u8>) -> Result<LoadedSnapshot, SnapshotError> 
         dict_misses,
         remaps,
     };
-    // 7. Maintain state: scalars eagerly; the base + firings tail stays
+    // 6. Maintain state: scalars eagerly; the base + firings tail stays
     //    as one raw byte run (already checksummed) so materializing a
     //    fired set that can dwarf the instance is deferred to thaw.
     let complete = r.bool().map_err(mal)?;
@@ -745,7 +714,6 @@ fn load_snapshot_owned(image: Vec<u8>) -> Result<LoadedSnapshot, SnapshotError> 
     // damage and inconsistencies fail closed: an inconsistent dependency
     // index would make later retractions silently wrong.
     let instance = Instance::from_unique_atoms(atoms);
-    let indexes_installed = instance.install_sorted_indexes(&indexes);
     let (dense_tables_installed, dense_tries_installed) = instance.install_dense(&dense);
     Ok(LoadedSnapshot {
         tgds,
@@ -755,7 +723,6 @@ fn load_snapshot_owned(image: Vec<u8>) -> Result<LoadedSnapshot, SnapshotError> 
         max_atoms,
         image,
         frozen_from,
-        indexes_installed,
         dense_tables_installed,
         dense_tries_installed,
     })
@@ -764,7 +731,7 @@ fn load_snapshot_owned(image: Vec<u8>) -> Result<LoadedSnapshot, SnapshotError> 
 /// Reads and restores a snapshot file. The load pipeline is: validate
 /// framing (magic, version, length, checksum) → intern symbols → fence
 /// nulls → rebuild TGDs → append instance atoms in insertion order →
-/// install sorted indexes and dense state (validated, never re-sorted).
+/// install dense state (validated, never re-sorted).
 /// The result is query-ready; thawing the fired set for writes is
 /// deferred to [`LoadedSnapshot::to_maintained`].
 pub fn load_snapshot(path: &Path) -> Result<LoadedSnapshot, SnapshotError> {
@@ -831,16 +798,13 @@ mod tests {
     #[test]
     fn saved_indexes_install_in_process() {
         let (tgds, m) = org_fixture();
-        // Build a sorted index and a dense trie before saving.
-        m.instance()
-            .sorted_permutation(gtgd_data::Predicate(Symbol::new("WorksIn")), 2, &[1, 0]);
+        // Build a dense trie before saving.
         m.instance()
             .dense_snapshot(&[(gtgd_data::Predicate(Symbol::new("WorksIn")), 2, &[0, 1])]);
         let bytes = snapshot_bytes(&tgds, &m);
         let loaded = load_snapshot_bytes(&bytes).unwrap();
         // Same process → same interning order → every persisted section
         // validates and installs.
-        assert_eq!(loaded.indexes_installed, 1);
         assert!(loaded.dense_tables_installed >= 1);
         assert_eq!(loaded.dense_tries_installed, 1);
     }

@@ -30,7 +30,7 @@ use gtgd::ingest::{
 };
 use gtgd::query::Engine;
 use gtgd::script::{certify_script, eval_script, parse_script, run_maintained, MaintOp, Mode};
-use gtgd::storage::{save_snapshot, Server};
+use gtgd::storage::{load_snapshot, save_snapshot, Server};
 use std::io::Read;
 use std::path::{Path, PathBuf};
 
@@ -264,8 +264,10 @@ fn source_from(p: &Parsed) -> Result<Box<dyn Source>, GtgdError> {
         return Err(GtgdError::Usage("--full-iris only applies to --rdf".to_string()));
     }
     if let Some(univ) = lubm {
-        let mut cfg = LubmConfig::default();
-        cfg.universities = univ as usize;
+        let mut cfg = LubmConfig {
+            universities: univ as usize,
+            ..LubmConfig::default()
+        };
         if let Some(s) = seed {
             cfg.seed = s;
         }
@@ -419,8 +421,9 @@ fn cmd_serve(p: &Parsed) -> Result<(), GtgdError> {
         );
     }
     let addr = p.value("--addr").unwrap_or("127.0.0.1:7411");
-    let server =
-        Server::start(PathBuf::from(snap), addr).map_err(|e| GtgdError::Serve(e.to_string()))?;
+    let loaded = load_snapshot(snap.as_ref()).map_err(|e| GtgdError::Storage(e.to_string()))?;
+    let server = Server::with_snapshot(loaded, PathBuf::from(snap), addr)
+        .map_err(|e| GtgdError::Serve(e.to_string()))?;
     println!("serving {snap} on {}", server.local_addr());
     server.run().map_err(|e| GtgdError::Serve(e.to_string()))
 }

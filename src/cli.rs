@@ -56,7 +56,7 @@ pub struct Parsed {
 impl Parsed {
     /// Whether the boolean switch `name` was present.
     pub fn has(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| *s == name)
+        self.switches.contains(&name)
     }
 
     /// The value of flag `name`, if given (last occurrence wins).

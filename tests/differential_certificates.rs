@@ -12,25 +12,14 @@
 //! (sorted database atoms), so a certificate is evidence about the
 //! *database*, not about which engine happened to produce it.
 
-use gtgd::chase::{CertificateStore, ChaseBudget, ChaseRunner, ChaseVariant, Tgd};
-use gtgd::data::{GroundAtom, Instance, Rng};
+mod common;
+
+use common::{arb_guarded_db, guarded_rule_pool, sigma_for_mask};
+use gtgd::chase::{CertificateStore, ChaseBudget, ChaseRunner, ChaseVariant};
+use gtgd::data::Rng;
 use gtgd::query::{parse_cq, Cq, Strategy};
 
 const WORKER_WIDTHS: [usize; 3] = [1, 2, 4];
-
-/// The guarded rule templates of the parallel differential suite.
-fn rule_pool() -> Vec<Tgd> {
-    gtgd::chase::parse_tgds(
-        "A(X) -> B(X). \
-         B(X) -> R(X,Y). \
-         R(X,Y) -> S(Y,X). \
-         R(X,Y), A(X) -> B(Y). \
-         S(X,Y) -> A(X). \
-         R(X,Y), B(Y) -> S(X,X). \
-         B(X) -> A(X)",
-    )
-    .unwrap()
-}
 
 fn query_pool() -> Vec<Cq> {
     vec![
@@ -39,27 +28,6 @@ fn query_pool() -> Vec<Cq> {
         parse_cq("Q(X) :- R(X,Y), S(Y,Z)").unwrap(),
         parse_cq("Q(X,Y) :- S(X,Y), A(X)").unwrap(),
     ]
-}
-
-fn arb_db(rng: &mut Rng) -> Instance {
-    let k = rng.range(1, 9);
-    Instance::from_atoms((0..k).map(|_| {
-        let kind = rng.range(0, 3);
-        let (a, b) = (rng.range(0, 4), rng.range(0, 4));
-        match kind {
-            0 => GroundAtom::named("A", &[&format!("c{a}")]),
-            1 => GroundAtom::named("R", &[&format!("c{a}"), &format!("c{b}")]),
-            _ => GroundAtom::named("S", &[&format!("c{a}"), &format!("c{b}")]),
-        }
-    }))
-}
-
-fn sigma_for_mask(pool: &[Tgd], mask: u8) -> Vec<Tgd> {
-    pool.iter()
-        .enumerate()
-        .filter(|(i, _)| mask >> i & 1 == 1)
-        .map(|(_, t)| t.clone())
-        .collect()
 }
 
 /// Every engine configuration the suite certifies under: the sequential
@@ -79,7 +47,7 @@ fn engine_configs() -> Vec<(String, ChaseVariant, usize)> {
 /// configurations state the same fact base.
 #[test]
 fn every_answer_round_trips_through_an_accepted_certificate() {
-    let pool = rule_pool();
+    let pool = guarded_rule_pool();
     let queries = query_pool();
     // Some rule subsets diverge; a levels cap bounds every engine — the
     // restricted chase included, which tracks per-atom derivation depth.
@@ -90,7 +58,7 @@ fn every_answer_round_trips_through_an_accepted_certificate() {
     for case in 0u64..160 {
         let mask = (case % 128) as u8;
         let mut rng = Rng::seed(0xCE47 ^ case);
-        let d = arb_db(&mut rng);
+        let d = arb_guarded_db(&mut rng, 9);
         let sigma = sigma_for_mask(&pool, mask);
         let mut fact_sections: Vec<String> = Vec::new();
         for (name, variant, workers) in engine_configs() {
@@ -157,7 +125,7 @@ fn every_answer_round_trips_through_an_accepted_certificate() {
 /// as one array are accepted wholesale by the checker's batch entry point.
 #[test]
 fn certificate_batches_round_trip() {
-    let pool = rule_pool();
+    let pool = guarded_rule_pool();
     let budget = ChaseBudget {
         max_level: Some(4),
         max_atoms: Some(2_000),
@@ -165,7 +133,7 @@ fn certificate_batches_round_trip() {
     for case in [3u64, 41, 77, 123] {
         let mask = (case % 128) as u8;
         let mut rng = Rng::seed(0xCE47 ^ case);
-        let d = arb_db(&mut rng);
+        let d = arb_guarded_db(&mut rng, 9);
         let sigma = sigma_for_mask(&pool, mask);
         let outcome = ChaseRunner::new(&sigma)
             .budget(budget)

@@ -8,24 +8,12 @@
 //! derived from it, which covers strictly more rule combinations than the
 //! sampled proptest run did.
 
-use gtgd::chase::{chase, ground_saturation, typed_chase, ChaseBudget, DepthPolicy, Tgd};
-use gtgd::data::{GroundAtom, Instance, Rng};
-use gtgd::query::{evaluate_cq, parse_cq, Cq};
+mod common;
 
-/// A pool of guarded rule templates over predicates A/B (unary), R/S
-/// (binary). Each subset of the pool is a guarded, constant-free Σ.
-fn rule_pool() -> Vec<Tgd> {
-    gtgd::chase::parse_tgds(
-        "A(X) -> B(X). \
-         B(X) -> R(X,Y). \
-         R(X,Y) -> S(Y,X). \
-         R(X,Y), A(X) -> B(Y). \
-         S(X,Y) -> A(X). \
-         R(X,Y), B(Y) -> S(X,X). \
-         B(X) -> A(X)",
-    )
-    .unwrap()
-}
+use common::{arb_guarded_db, guarded_rule_pool, sigma_for_mask};
+use gtgd::chase::{chase, ground_saturation, typed_chase, ChaseBudget, DepthPolicy};
+use gtgd::data::Rng;
+use gtgd::query::{evaluate_cq, parse_cq, Cq};
 
 fn query_pool() -> Vec<Cq> {
     vec![
@@ -37,35 +25,13 @@ fn query_pool() -> Vec<Cq> {
     ]
 }
 
-/// A random database over A/R/S with a 4-element domain.
-fn arb_db(rng: &mut Rng) -> Instance {
-    let k = rng.range(1, 8);
-    Instance::from_atoms((0..k).map(|_| {
-        let kind = rng.range(0, 3);
-        let (a, b) = (rng.range(0, 4), rng.range(0, 4));
-        match kind {
-            0 => GroundAtom::named("A", &[&format!("c{a}")]),
-            1 => GroundAtom::named("R", &[&format!("c{a}"), &format!("c{b}")]),
-            _ => GroundAtom::named("S", &[&format!("c{a}"), &format!("c{b}")]),
-        }
-    }))
-}
-
-fn sigma_for_mask(pool: &[Tgd], mask: u8) -> Vec<Tgd> {
-    pool.iter()
-        .enumerate()
-        .filter(|(i, _)| mask >> i & 1 == 1)
-        .map(|(_, t)| t.clone())
-        .collect()
-}
-
 /// Ground saturation equals the ground part of a deep plain chase.
 #[test]
 fn ground_saturation_matches_deep_chase() {
-    let pool = rule_pool();
+    let pool = guarded_rule_pool();
     for mask in 0u8..128 {
         let mut rng = Rng::seed(0xD1FF ^ u64::from(mask));
-        let d = arb_db(&mut rng);
+        let d = arb_guarded_db(&mut rng, 8);
         let sigma = sigma_for_mask(&pool, mask);
         let sat = ground_saturation(&d, &sigma);
         let deep = chase(&d, &sigma, &ChaseBudget::levels(7));
@@ -89,10 +55,10 @@ fn ground_saturation_matches_deep_chase() {
 /// the typed chase reports saturation.
 #[test]
 fn typed_chase_answers_match_plain_chase() {
-    let pool = rule_pool();
+    let pool = guarded_rule_pool();
     for mask in 0u8..128 {
         let mut rng = Rng::seed(0x7E57 ^ u64::from(mask));
-        let d = arb_db(&mut rng);
+        let d = arb_guarded_db(&mut rng, 8);
         let sigma = sigma_for_mask(&pool, mask);
         let typed = typed_chase(
             &d,

@@ -6,7 +6,10 @@
 //! homomorphism *sets*, with `exists` / `count` / `first` agreeing, and the
 //! parallel split (`par_table` / `par_all`) matching at widths 1, 2, and 4.
 
-use gtgd::data::{GroundAtom, Instance, Predicate, Rng, Value};
+mod common;
+
+use common::{arb_db, dom};
+use gtgd::data::{Instance, Predicate, Rng, Value};
 use gtgd::query::{CompiledQuery, HomSearch, QAtom, Term, Var};
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
@@ -160,54 +163,6 @@ mod reference {
             ControlFlow::Continue(())
         }
     }
-}
-
-/// 4-value domain shared by all random instances.
-fn dom() -> Vec<Value> {
-    ["a", "b", "c", "d"]
-        .iter()
-        .map(|s| Value::named(s))
-        .collect()
-}
-
-/// Random instance over unary `U`, binary `E`/`R`, ternary `T`.
-fn arb_db(rng: &mut Rng) -> Instance {
-    let d = dom();
-    let mut i = Instance::new();
-    let n_atoms = 3 + rng.below(18) as usize;
-    for _ in 0..n_atoms {
-        match rng.below(4) {
-            0 => {
-                i.insert(GroundAtom::new(
-                    Predicate::new("U"),
-                    vec![d[rng.below(4) as usize]],
-                ));
-            }
-            1 => {
-                i.insert(GroundAtom::new(
-                    Predicate::new("E"),
-                    vec![d[rng.below(4) as usize], d[rng.below(4) as usize]],
-                ));
-            }
-            2 => {
-                i.insert(GroundAtom::new(
-                    Predicate::new("R"),
-                    vec![d[rng.below(4) as usize], d[rng.below(4) as usize]],
-                ));
-            }
-            _ => {
-                i.insert(GroundAtom::new(
-                    Predicate::new("T"),
-                    vec![
-                        d[rng.below(4) as usize],
-                        d[rng.below(4) as usize],
-                        d[rng.below(4) as usize],
-                    ],
-                ));
-            }
-        }
-    }
-    i
 }
 
 /// Random CQ body over the same schema: 1–4 atoms, variables X0..X4,

@@ -24,6 +24,9 @@
 //! interleaved (random walks that also re-assert previously retracted
 //! facts, exercising DRed rescue followed by re-fire).
 
+mod common;
+
+use common::sigma_for_mask;
 use gtgd::chase::{parse_tgds, ChaseRunner, MaintainedInstance, Tgd};
 use gtgd::data::{GroundAtom, Instance, Rng, Value};
 use gtgd::query::{instance_isomorphic, parse_cq, Engine, PreparedQuery, Strategy};
@@ -89,14 +92,6 @@ fn arb_atoms(rng: &mut Rng) -> Vec<GroundAtom> {
         }
     }
     out
-}
-
-fn sigma_for_mask(pool: &[Tgd], mask: u8) -> Vec<Tgd> {
-    pool.iter()
-        .enumerate()
-        .filter(|(i, _)| mask >> i & 1 == 1)
-        .map(|(_, t)| t.clone())
-        .collect()
 }
 
 fn named_only(answers: &HashSet<Vec<Value>>) -> Vec<Vec<Value>> {

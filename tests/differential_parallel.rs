@@ -11,27 +11,14 @@
 //!   `evaluate_cq_par` must be identical, as sorted sets, to the
 //!   sequential evaluation.
 
-use gtgd::chase::{chase, ground_saturation, par_chase, par_ground_saturation, ChaseBudget, Tgd};
-use gtgd::data::{GroundAtom, Instance, Rng, Value};
+mod common;
+
+use common::{arb_guarded_db, guarded_rule_pool, sigma_for_mask};
+use gtgd::chase::{chase, ground_saturation, par_chase, par_ground_saturation, ChaseBudget};
+use gtgd::data::{Rng, Value};
 use gtgd::query::{evaluate_cq, evaluate_cq_par, instance_isomorphic, parse_cq, Cq};
 
 const WORKER_WIDTHS: [usize; 3] = [1, 2, 4];
-
-/// A pool of guarded rule templates (same shape as the typed-chase
-/// differential suite): subsets are guarded, constant-free TGD sets mixing
-/// full and existential rules.
-fn rule_pool() -> Vec<Tgd> {
-    gtgd::chase::parse_tgds(
-        "A(X) -> B(X). \
-         B(X) -> R(X,Y). \
-         R(X,Y) -> S(Y,X). \
-         R(X,Y), A(X) -> B(Y). \
-         S(X,Y) -> A(X). \
-         R(X,Y), B(Y) -> S(X,X). \
-         B(X) -> A(X)",
-    )
-    .unwrap()
-}
 
 fn query_pool() -> Vec<Cq> {
     vec![
@@ -41,27 +28,6 @@ fn query_pool() -> Vec<Cq> {
         parse_cq("Q(X,Y) :- S(X,Y), A(X)").unwrap(),
         parse_cq("Q() :- R(X,Y), B(Y)").unwrap(),
     ]
-}
-
-fn arb_db(rng: &mut Rng) -> Instance {
-    let k = rng.range(1, 9);
-    Instance::from_atoms((0..k).map(|_| {
-        let kind = rng.range(0, 3);
-        let (a, b) = (rng.range(0, 4), rng.range(0, 4));
-        match kind {
-            0 => GroundAtom::named("A", &[&format!("c{a}")]),
-            1 => GroundAtom::named("R", &[&format!("c{a}"), &format!("c{b}")]),
-            _ => GroundAtom::named("S", &[&format!("c{a}"), &format!("c{b}")]),
-        }
-    }))
-}
-
-fn sigma_for_mask(pool: &[Tgd], mask: u8) -> Vec<Tgd> {
-    pool.iter()
-        .enumerate()
-        .filter(|(i, _)| mask >> i & 1 == 1)
-        .map(|(_, t)| t.clone())
-        .collect()
 }
 
 fn sorted_answers(ans: std::collections::HashSet<Vec<Value>>) -> Vec<Vec<Value>> {
@@ -74,11 +40,11 @@ fn sorted_answers(ans: std::collections::HashSet<Vec<Value>>) -> Vec<Vec<Value>>
 /// randomized guarded ontologies, for every worker width.
 #[test]
 fn par_chase_isomorphic_to_sequential() {
-    let pool = rule_pool();
+    let pool = guarded_rule_pool();
     let budget = ChaseBudget::levels(5);
     for mask in 0u8..128 {
         let mut rng = Rng::seed(0xAB5E ^ u64::from(mask));
-        let d = arb_db(&mut rng);
+        let d = arb_guarded_db(&mut rng, 9);
         let sigma = sigma_for_mask(&pool, mask);
         let seq = chase(&d, &sigma, &budget);
         for w in WORKER_WIDTHS {
@@ -108,11 +74,11 @@ fn par_chase_isomorphic_to_sequential() {
 /// differ between runs.)
 #[test]
 fn par_chase_preserves_ground_query_answers() {
-    let pool = rule_pool();
+    let pool = guarded_rule_pool();
     let budget = ChaseBudget::levels(5);
     for mask in (0u8..128).step_by(3) {
         let mut rng = Rng::seed(0xBEEF ^ u64::from(mask));
-        let d = arb_db(&mut rng);
+        let d = arb_guarded_db(&mut rng, 9);
         let sigma = sigma_for_mask(&pool, mask);
         let seq = chase(&d, &sigma, &budget);
         let par = par_chase(&d, &sigma, &budget, 4);
@@ -133,10 +99,10 @@ fn par_chase_preserves_ground_query_answers() {
 /// every worker width.
 #[test]
 fn par_saturation_equals_sequential() {
-    let pool = rule_pool();
+    let pool = guarded_rule_pool();
     for mask in 0u8..128 {
         let mut rng = Rng::seed(0x5A7 ^ u64::from(mask));
-        let d = arb_db(&mut rng);
+        let d = arb_guarded_db(&mut rng, 9);
         let sigma = sigma_for_mask(&pool, mask);
         let seq = ground_saturation(&d, &sigma);
         for w in WORKER_WIDTHS {
@@ -153,10 +119,10 @@ fn par_saturation_equals_sequential() {
 /// sequential evaluation, over both raw databases and chase results.
 #[test]
 fn par_enumeration_matches_sequential() {
-    let pool = rule_pool();
+    let pool = guarded_rule_pool();
     for mask in (0u8..128).step_by(5) {
         let mut rng = Rng::seed(0xE9A ^ u64::from(mask));
-        let d = arb_db(&mut rng);
+        let d = arb_guarded_db(&mut rng, 9);
         let sigma = sigma_for_mask(&pool, mask);
         let chased = chase(&d, &sigma, &ChaseBudget::levels(4)).instance;
         for target in [&d, &chased] {
@@ -179,11 +145,11 @@ fn par_enumeration_matches_sequential() {
 /// (atom-by-atom level agreement across widths).
 #[test]
 fn par_chase_deterministic_across_widths() {
-    let pool = rule_pool();
+    let pool = guarded_rule_pool();
     let budget = ChaseBudget::levels(5);
     for mask in [0b0000111u8, 0b1010101, 0b1111111] {
         let mut rng = Rng::seed(0xD5 ^ u64::from(mask));
-        let d = arb_db(&mut rng);
+        let d = arb_guarded_db(&mut rng, 9);
         let sigma = sigma_for_mask(&pool, mask);
         let reference = par_chase(&d, &sigma, &budget, 1);
         for w in [2, 3, 4, 8] {

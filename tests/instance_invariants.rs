@@ -9,14 +9,16 @@
 //! * `dom()` is exactly the set of argument values, deduplicated in
 //!   first-occurrence order;
 //! * the columnar arena mirrors per-predicate insertion order;
-//! * sorted permutation indexes agree with a naive argsort of the columns
-//!   and are maintained *incrementally* — a chase run never full-re-sorts
-//!   an index whose predicate only received insert deltas (asserted by the
-//!   `full_builds` / `merge_extends` counter tests at the bottom).
+//! * the dense tries (the sorted indexes the WCOJ path walks) decode to
+//!   the rows sorted under every column order asked for, and are
+//!   maintained *incrementally* — insert deltas encode only their fresh
+//!   values and a chase never re-encodes a known value (asserted by the
+//!   dictionary counter tests at the bottom).
 
 use gtgd::chase::{chase, parse_tgds, ChaseBudget};
 use gtgd::data::{GroundAtom, Instance, Predicate, Rng, Value};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 fn dom_pool() -> Vec<Value> {
     ["a", "b", "c", "d", "e", "f"]
@@ -48,24 +50,6 @@ fn model_insert(model: &mut Vec<GroundAtom>, a: GroundAtom) {
     if !model.contains(&a) {
         model.push(a);
     }
-}
-
-/// Naive argsort of a predicate's columns under a column order: sort row
-/// ids by the key tuple, ties broken by row id (the contract documented on
-/// `SortedPermutation`).
-fn naive_perm(inst: &Instance, p: Predicate, arity: usize, order: &[u16]) -> Vec<u32> {
-    let Some(pc) = inst.columns(p, arity) else {
-        return Vec::new();
-    };
-    let mut ids: Vec<u32> = (0..pc.rows() as u32).collect();
-    ids.sort_by_key(|&r| {
-        let key: Vec<Value> = order
-            .iter()
-            .map(|&j| pc.col(j as usize)[r as usize])
-            .collect();
-        (key, r)
-    });
-    ids
 }
 
 fn check_invariants(inst: &Instance, model: &[GroundAtom], ctx: &str) {
@@ -120,8 +104,7 @@ fn check_invariants(inst: &Instance, model: &[GroundAtom], ctx: &str) {
         }
     }
 
-    // Columnar arena mirrors per-predicate insertion order, and the sorted
-    // permutations agree with a naive argsort under several column orders.
+    // Columnar arena mirrors per-predicate insertion order.
     for (p, k) in preds() {
         let expected_rows: Vec<&GroundAtom> = model
             .iter()
@@ -138,16 +121,8 @@ fn check_invariants(inst: &Instance, model: &[GroundAtom], ctx: &str) {
                 }
             }
         }
-        let forward: Vec<u16> = (0..k as u16).collect();
-        let reverse: Vec<u16> = (0..k as u16).rev().collect();
-        for order in [forward, reverse] {
-            let perm = inst.sorted_permutation(p, k, &order);
-            assert_eq!(perm.perm(), naive_perm(inst, p, k, &order), "perm {ctx}");
-            // A permutation is a bijection on row ids.
-            let distinct: HashSet<u32> = perm.perm().iter().copied().collect();
-            assert_eq!(distinct.len(), perm.len(), "perm bijection {ctx}");
-        }
     }
+    check_dense(inst, model, ctx);
 }
 
 #[test]
@@ -214,28 +189,46 @@ fn instance_invariants_under_random_interleavings() {
     }
 }
 
+/// The rows of `p` (at `arity`) in the model, permuted into trie level
+/// order and sorted: what the dense trie under `order` must decode to.
+fn sorted_rows(model: &[GroundAtom], p: Predicate, arity: usize, order: &[u16]) -> Vec<Vec<Value>> {
+    let mut rows: Vec<Vec<Value>> = model
+        .iter()
+        .filter(|a| a.predicate == p && a.args.len() == arity)
+        .map(|a| order.iter().map(|&j| a.args[j as usize]).collect())
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// Decodes every row of a dense trie, level by level.
+fn decoded(dict: &gtgd::data::Dict, t: &gtgd::data::DenseTrie, arity: usize) -> Vec<Vec<Value>> {
+    (0..t.rows())
+        .map(|i| (0..arity).map(|l| dict.decode(t.level(l)[i])).collect())
+        .collect()
+}
+
 /// The dense dictionary/trie view decodes to exactly the model's rows —
-/// sorted, deduplicated — for every predicate. After a retraction the
-/// touched tries are rebuilt from the shrunk arena while the dictionary
-/// keeps stale entries (harmless: absent values still probe to nothing).
+/// sorted, deduplicated — for every predicate, under the forward and the
+/// reverse column order. After a retraction the touched tries are rebuilt
+/// from the shrunk arena while the dictionary keeps stale entries
+/// (harmless: absent values still probe to nothing).
 fn check_dense(inst: &Instance, model: &[GroundAtom], ctx: &str) {
     for (p, k) in preds() {
-        let order: Vec<u16> = (0..k as u16).collect();
-        let reqs: [(Predicate, usize, &[u16]); 1] = [(p, k, order.as_slice())];
-        let (dict, tries) = inst.dense_snapshot(&reqs);
-        let mut expected: Vec<Vec<Value>> = model
-            .iter()
-            .filter(|a| a.predicate == p && a.args.len() == k)
-            .map(|a| a.args.clone())
-            .collect();
-        expected.sort();
-        match &tries[0] {
-            None => assert!(expected.is_empty(), "dense trie missing {ctx}"),
-            Some(t) => {
-                let rows: Vec<Vec<Value>> = (0..t.rows())
-                    .map(|i| (0..k).map(|j| dict.decode(t.level(j)[i])).collect())
-                    .collect();
-                assert_eq!(rows, expected, "dense rows {ctx}");
+        let forward: Vec<u16> = (0..k as u16).collect();
+        let reverse: Vec<u16> = (0..k as u16).rev().collect();
+        for order in [forward, reverse] {
+            let reqs: [(Predicate, usize, &[u16]); 1] = [(p, k, order.as_slice())];
+            let (dict, tries) = inst.dense_snapshot(&reqs);
+            let expected = sorted_rows(model, p, k, &order);
+            match &tries[0] {
+                None => assert!(expected.is_empty(), "dense trie missing {ctx}"),
+                Some(t) => {
+                    assert_eq!(decoded(&dict, t, k), expected, "dense rows {order:?} {ctx}");
+                    // The trie's row permutation is a bijection on row ids.
+                    let distinct: HashSet<u32> = t.perm().iter().copied().collect();
+                    assert_eq!(distinct.len(), t.rows(), "perm bijection {ctx}");
+                }
             }
         }
     }
@@ -244,8 +237,8 @@ fn check_dense(inst: &Instance, model: &[GroundAtom], ctx: &str) {
 /// Random insert/retract interleavings: after every operation the whole
 /// invariant battery must hold — index round-trip in both directions,
 /// `dom()` exactness (a retraction that removes a value's last occurrence
-/// must remove it from `dom()`), columnar arena order, sorted-permutation
-/// agreement with a naive argsort, and dense dictionary/trie consistency.
+/// must remove it from `dom()`), columnar arena order, and dense
+/// dictionary/trie consistency under both column orders.
 /// Batches mix present atoms, duplicates, and absent ghosts, and the
 /// reported removal count must equal the distinct present victims.
 #[test]
@@ -287,15 +280,14 @@ fn instance_invariants_under_insert_retract_interleavings() {
                 );
             }
             check_invariants(&inst, &model, &ctx);
-            check_dense(&inst, &model, &ctx);
         }
     }
 }
 
 /// Retracting every atom of a predicate and re-inserting fresh ones must
-/// leave no stale index entries: the emptied sorted indexes are dropped,
-/// the rebuilt ones agree with a naive argsort, and `dom()` forgets the
-/// values that left with the atoms.
+/// leave no stale index entries: the emptied tries are dropped, the
+/// rebuilt ones decode to the sorted rows, and `dom()` forgets the values
+/// that left with the atoms.
 #[test]
 fn retract_all_then_reinsert_rebuilds_clean_indexes() {
     let d = dom_pool();
@@ -305,13 +297,13 @@ fn retract_all_then_reinsert_rebuilds_clean_indexes() {
         inst.insert(GroundAtom::new(e, vec![d[x], d[y]]));
     }
     // Warm both column orders, then delete everything.
-    inst.sorted_permutation(e, 2, &[0, 1]);
-    inst.sorted_permutation(e, 2, &[1, 0]);
+    inst.dense_snapshot(&[(e, 2, &[0, 1]), (e, 2, &[1, 0])]);
+    assert_eq!(inst.dense_stats().tries, 2);
     let all: Vec<GroundAtom> = inst.iter().cloned().collect();
     assert_eq!(inst.retract_atoms(&all), 3);
     assert_eq!(inst.len(), 0);
     assert!(inst.dom().is_empty(), "dom forgets retracted values");
-    assert_eq!(inst.index_stats().indexes, 0, "emptied indexes are dropped");
+    assert_eq!(inst.dense_stats().tries, 0, "emptied tries are dropped");
 
     let mut model = Vec::new();
     for (x, y) in [(3, 4), (4, 5)] {
@@ -320,47 +312,60 @@ fn retract_all_then_reinsert_rebuilds_clean_indexes() {
         model_insert(&mut model, a);
     }
     check_invariants(&inst, &model, "post-reinsert");
-    check_dense(&inst, &model, "post-reinsert");
 }
 
-/// Requesting the same index twice without an intervening insert is a
-/// cache hit: neither counter moves. An insert followed by a request is a
-/// merge-extend, never a rebuild.
+/// The dense tries are the sorted indexes of the WCOJ path. Requesting
+/// the same trie twice without an intervening insert is a cache hit: the
+/// same `Arc`, no dictionary work. A second column order is a second trie.
+/// An insert followed by a request encodes only the delta's fresh values
+/// and still decodes to the sorted rows.
 #[test]
 fn sorted_index_maintenance_is_incremental() {
     let d = dom_pool();
     let e = Predicate::new("E");
     let mut inst = Instance::new();
+    let mut model = Vec::new();
     for (x, y) in [(0, 1), (1, 2), (2, 0)] {
-        inst.insert(GroundAtom::new(e, vec![d[x], d[y]]));
+        let a = GroundAtom::new(e, vec![d[x], d[y]]);
+        inst.insert(a.clone());
+        model_insert(&mut model, a);
     }
-    let naive = |inst: &Instance, order: &[u16]| naive_perm(inst, e, 2, order);
+    let fwd: [(Predicate, usize, &[u16]); 1] = [(e, 2, &[0, 1])];
+    let rev: [(Predicate, usize, &[u16]); 1] = [(e, 2, &[1, 0])];
 
-    assert_eq!(inst.index_stats().indexes, 0);
-    let p0 = inst.sorted_permutation(e, 2, &[0, 1]);
-    assert_eq!(p0.perm(), naive(&inst, &[0, 1]));
-    let s1 = inst.index_stats();
-    assert_eq!((s1.indexes, s1.full_builds, s1.merge_extends), (1, 1, 0));
+    assert_eq!(inst.dense_stats().tries, 0);
+    let (dict, t0) = inst.dense_snapshot(&fwd);
+    let t0 = t0[0].clone().expect("nonempty relation has a trie");
+    assert_eq!(decoded(&dict, &t0, 2), sorted_rows(&model, e, 2, &[0, 1]));
+    let s1 = inst.dense_stats();
+    assert_eq!((s1.tries, s1.dict_misses), (1, 3));
 
-    // Cache hit: same index, no growth.
-    inst.sorted_permutation(e, 2, &[0, 1]);
-    assert_eq!(inst.index_stats().full_builds, 1);
-    assert_eq!(inst.index_stats().merge_extends, 0);
+    // Cache hit: same trie, no growth, no dictionary lookups.
+    let (_, again) = inst.dense_snapshot(&fwd);
+    assert!(Arc::ptr_eq(&t0, again[0].as_ref().unwrap()));
+    let s2 = inst.dense_stats();
+    assert_eq!(
+        (s2.tries, s2.dict_hits, s2.dict_misses),
+        (1, s1.dict_hits, 3)
+    );
 
-    // A second column order is a second index (one more full build).
-    inst.sorted_permutation(e, 2, &[1, 0]);
-    let s2 = inst.index_stats();
-    assert_eq!((s2.indexes, s2.full_builds, s2.merge_extends), (2, 2, 0));
+    // A second column order is a second trie over the same encoded table.
+    inst.dense_snapshot(&rev);
+    let s3 = inst.dense_stats();
+    assert_eq!((s3.tries, s3.dict_misses), (2, 3));
 
-    // Insert deltas + re-request: extended by merge, never re-sorted.
+    // Insert deltas + re-request: only the two fresh values are encoded.
     for (x, y) in [(3, 4), (0, 3), (4, 1)] {
-        inst.insert(GroundAtom::new(e, vec![d[x], d[y]]));
+        let a = GroundAtom::new(e, vec![d[x], d[y]]);
+        inst.insert(a.clone());
+        model_insert(&mut model, a);
     }
-    let p0 = inst.sorted_permutation(e, 2, &[0, 1]);
-    assert_eq!(p0.perm(), naive(&inst, &[0, 1]));
-    let s3 = inst.index_stats();
-    assert_eq!(s3.full_builds, 2, "delta must merge, not rebuild");
-    assert_eq!(s3.merge_extends, 1);
+    let (dict, t1) = inst.dense_snapshot(&fwd);
+    let t1 = t1[0].as_ref().unwrap();
+    assert_eq!(decoded(&dict, t1, 2), sorted_rows(&model, e, 2, &[0, 1]));
+    let s4 = inst.dense_stats();
+    assert_eq!(s4.tries, 2);
+    assert_eq!(s4.dict_misses, 5, "the delta must extend, not re-encode");
 }
 
 /// The acceptance counter test: a chase whose rounds keep inserting into a

@@ -1,14 +1,17 @@
 //! Snapshot round-trip properties (seeded, many instances): a maintained
 //! fixpoint saved and loaded back must be isomorphic to the original,
 //! answer prepared queries identically under both join strategies, and
-//! re-serve its persisted indexes from cache instead of rebuilding them.
-//! Damaged files must fail closed with the precise error for the damage.
+//! re-serve its persisted dense tries from cache instead of rebuilding
+//! them. Damaged files must fail closed with the precise error for the
+//! damage, and files of an older format version are refused by the
+//! library and the CLI alike.
 
 use gtgd::chase::{parse_tgds, ChaseBudget, ChaseRunner, MaintainedInstance, Tgd};
 use gtgd::data::{GroundAtom, Predicate, Rng, Symbol, Value};
 use gtgd::query::{instance_isomorphic, parse_cq, Engine, Strategy};
 use gtgd::storage::{load_snapshot, save_snapshot, SnapshotError, SNAPSHOT_VERSION};
 use std::path::PathBuf;
+use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -63,15 +66,34 @@ fn assert_round_trips(tag: &str, tgds: &[Tgd], m: &MaintainedInstance) {
         "Q(X, D) :- Emp(X), WorksIn(X, D)",
         "Q(D, H) :- Dept(D), HasHead(D, H)",
     ];
-    // Warm a sorted index so the snapshot has a permutation section.
+    // Warm a dense trie so the snapshot has a trie to persist.
     let worksin = Predicate(Symbol::new("WorksIn"));
-    m.instance().sorted_permutation(worksin, 2, &[1, 0]);
-    let stats_before = m.instance().index_stats();
+    let warm: [(Predicate, usize, &[u16]); 1] = [(worksin, 2, &[1, 0])];
+    m.instance().dense_snapshot(&warm);
+    let stats_before = m.instance().dense_stats();
 
     let path = temp_path(tag);
     save_snapshot(&path, tgds, m).unwrap();
     let loaded = load_snapshot(&path).unwrap();
     std::fs::remove_file(&path).ok();
+
+    // Trie rebuild behavior: every persisted trie installed (same process
+    // → same interning order → validation passes), and demanding the
+    // persisted order again is served from the store: no new trie, no
+    // fresh dictionary code.
+    assert_eq!(
+        loaded.dense_tries_installed, stats_before.tries,
+        "{tag}: all persisted tries install"
+    );
+    let after_load = loaded.instance().dense_stats();
+    assert_eq!(after_load.tries, loaded.dense_tries_installed);
+    loaded.instance().dense_snapshot(&warm);
+    let after_demand = loaded.instance().dense_stats();
+    assert_eq!(
+        after_demand.tries, after_load.tries,
+        "{tag}: re-demanding a persisted trie must not rebuild it"
+    );
+    assert_eq!(after_demand.dict_misses, after_load.dict_misses);
 
     assert!(
         instance_isomorphic(m.instance(), loaded.instance()),
@@ -85,22 +107,6 @@ fn assert_round_trips(tag: &str, tgds: &[Tgd], m: &MaintainedInstance) {
             assert_eq!(orig, back, "{tag}: answers differ for {q} under {s:?}");
         }
     }
-    // Index rebuild behavior: every persisted permutation installed (same
-    // process → same interning order → validation passes), and demanding
-    // the persisted order again is a cache hit, not a rebuild.
-    assert_eq!(
-        loaded.indexes_installed, stats_before.indexes,
-        "{tag}: all persisted indexes install"
-    );
-    let after_load = loaded.instance().index_stats();
-    assert_eq!(after_load.full_builds, loaded.indexes_installed);
-    loaded.instance().sorted_permutation(worksin, 2, &[1, 0]);
-    let after_demand = loaded.instance().index_stats();
-    assert_eq!(
-        after_demand.full_builds, after_load.full_builds,
-        "{tag}: re-demanding a persisted index must not rebuild it"
-    );
-    assert_eq!(after_demand.merge_extends, after_load.merge_extends);
     // Thawing for writes validates the persisted fired set and yields the
     // same (isomorphic) maintainable state.
     let thawed = loaded.into_maintained().unwrap();
@@ -194,4 +200,40 @@ fn damaged_files_fail_closed_with_precise_errors() {
     // Missing file surfaces the io error.
     std::fs::remove_file(&path).ok();
     assert!(matches!(load_snapshot(&path), Err(SnapshotError::Io(_))));
+}
+
+#[test]
+fn version_one_snapshots_are_refused_with_a_described_error() {
+    // Version 1 carried the sorted-permutation section that version 2
+    // dropped. The header is checked before any section is decoded, so a
+    // current image relabelled as version 1 stands in for a real one.
+    let (tgds, m) = seeded_fixture(7);
+    let path = temp_path("v1");
+    save_snapshot(&path, &tgds, &m).unwrap();
+    let mut old = std::fs::read(&path).unwrap();
+    old[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&path, &old).unwrap();
+
+    let err = load_snapshot(&path).unwrap_err();
+    assert!(
+        matches!(err, SnapshotError::UnsupportedVersion(1)),
+        "got {err:?}"
+    );
+    assert_eq!(SNAPSHOT_VERSION, 2);
+    let msg = err.to_string();
+    assert!(msg.contains("version 1"), "{msg}");
+    assert!(msg.contains("expected 2"), "{msg}");
+
+    // The daemon refuses it before binding, with the storage exit code.
+    let out = Command::new(env!("CARGO_BIN_EXE_gtgd"))
+        .args(["serve", path.to_str().unwrap(), "--addr", "127.0.0.1:0"])
+        .output()
+        .unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(5), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unsupported snapshot version 1"),
+        "{stderr}"
+    );
 }
