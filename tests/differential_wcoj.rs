@@ -92,46 +92,55 @@ fn check_case(
 
 #[test]
 fn wcoj_matches_backtracker_on_random_cases() {
+    random_sweep(0x5eed_cafe);
+}
+
+/// The second random sweep, on its own seed: the one the dense executor
+/// was first checked with, kept so its 160 cases stay a named test.
+#[test]
+fn dense_matches_backtracker_on_random_cases() {
+    random_sweep(0x5eed_dea1);
+}
+
+/// 160 seeded random cases: a random instance and CQ under a random mix
+/// of injective, restricted-image and fixed-binding modes.
+fn random_sweep(seed: u64) {
     let d = dom();
-    for seed in [0x5eed_cafe, 0x5eed_dea1] {
-        let mut rng = Rng::seed(seed);
-        for case in 0..160u32 {
-            let db = arb_db(&mut rng);
-            let atoms = arb_atoms(&mut rng);
-            let injective = rng.chance(0.34);
-            let restrict = rng.chance(0.34);
-            let allowed: Option<HashSet<Value>> = restrict.then(|| {
-                d.iter()
-                    .copied()
-                    .filter(|_| rng.chance(0.67))
-                    .collect::<HashSet<Value>>()
-            });
-            let mut fixed: Vec<(Var, Value)> = Vec::new();
-            if rng.chance(0.5) {
-                // Fix 1–2 variables, sometimes a ghost var absent from atoms.
-                for _ in 0..=rng.below(2) {
-                    let v = if rng.chance(0.17) {
-                        Var(40 + rng.below(2) as u32)
-                    } else {
-                        Var(rng.below(4) as u32)
-                    };
-                    let x = d[rng.below(4) as usize];
-                    if fixed.iter().all(|&(u, _)| u != v) {
-                        fixed.push((v, x));
-                    }
+    let mut rng = Rng::seed(seed);
+    for case in 0..160u32 {
+        let db = arb_db(&mut rng);
+        let atoms = arb_atoms(&mut rng);
+        let injective = rng.chance(0.34);
+        let restrict = rng.chance(0.34);
+        let allowed: Option<HashSet<Value>> = restrict.then(|| {
+            d.iter()
+                .copied()
+                .filter(|_| rng.chance(0.67))
+                .collect::<HashSet<Value>>()
+        });
+        let mut fixed: Vec<(Var, Value)> = Vec::new();
+        if rng.chance(0.5) {
+            // Fix 1–2 variables, sometimes a ghost var absent from atoms.
+            for _ in 0..=rng.below(2) {
+                let v = if rng.chance(0.17) {
+                    Var(40 + rng.below(2) as u32)
+                } else {
+                    Var(rng.below(4) as u32)
+                };
+                let x = d[rng.below(4) as usize];
+                if fixed.iter().all(|&(u, _)| u != v) {
+                    fixed.push((v, x));
                 }
             }
-            check_case(
-                &atoms,
-                &db,
-                &fixed,
-                injective,
-                allowed.as_ref(),
-                &format!(
-                    "seed {seed:#x} case {case}: atoms={atoms:?} fixed={fixed:?} inj={injective}"
-                ),
-            );
         }
+        check_case(
+            &atoms,
+            &db,
+            &fixed,
+            injective,
+            allowed.as_ref(),
+            &format!("seed {seed:#x} case {case}: atoms={atoms:?} fixed={fixed:?} inj={injective}"),
+        );
     }
 }
 
@@ -179,6 +188,18 @@ fn clique(n: u32) -> Vec<QAtom> {
 /// dictionary): the executor must reject them without panicking.
 #[test]
 fn wcoj_matches_backtracker_on_named_shapes() {
+    named_shapes_on(0xd1ff_5eed);
+}
+
+/// The same shapes on a second pair of random instances.
+#[test]
+fn dense_matches_on_named_shapes() {
+    named_shapes_on(0xdea1_5eed);
+}
+
+/// Every named shape on the dense instance and on two random instances
+/// drawn from `seed`.
+fn named_shapes_on(seed: u64) {
     let d = dom();
     let ghost = Value::named("zz-not-in-any-db");
     let shapes: Vec<(&str, Vec<QAtom>)> = vec![
@@ -213,12 +234,8 @@ fn wcoj_matches_backtracker_on_named_shapes() {
             vec![e(v(0), v(1)), e(v(0), v(2)), e(v(0), v(3)), e(v(0), v(0))],
         ),
     ];
-    let mut dbs = vec![dense_db()];
-    for seed in [0xd1ff_5eed, 0xdea1_5eed] {
-        let mut rng = Rng::seed(seed);
-        dbs.push(arb_db(&mut rng));
-        dbs.push(arb_db(&mut rng));
-    }
+    let mut rng = Rng::seed(seed);
+    let dbs = [dense_db(), arb_db(&mut rng), arb_db(&mut rng)];
     for (name, atoms) in &shapes {
         for (di, db) in dbs.iter().enumerate() {
             for injective in [false, true] {
